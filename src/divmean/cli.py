@@ -59,12 +59,39 @@ class RunConfig:
     grid: tuple = (None, None, None)  # lo, hi, step overrides
 
 
+def _fraction(text):
+    """--t: an exact rational such as 2, 5/2 or 2.5."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _int_list(text):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}"
+        ) from None
+
+
 def _theta_rule(name, t):
     if name == "practical":
         return ThetaRule.practical()
     if t is None:
         raise DivmeanError("dense rule needs --t")
-    return ThetaRule.dense(Fraction(t))
+    return ThetaRule.dense(t)
 
 
 def _emit(text, path):
@@ -169,7 +196,7 @@ def _cmd_stats(args):
     elif cfg.kind == "dense":
         if args.t is None:
             raise DivmeanError("dense stats need --t")
-        st = dense_stats(args.x, Fraction(args.t))
+        st = dense_stats(args.x, args.t)
     else:
         st = practical_stats(args.x)
     harm = fmt15(st.harmonic) if st.harmonic is not None else ""
@@ -198,10 +225,9 @@ def _cmd_verify(args):
     if cfg.kind == "dense":
         if args.t is None:
             raise DivmeanError("dense verification needs --t")
-        return _rows_exit(compare_dense(args.x, Fraction(args.t)), cfg)
+        return _rows_exit(compare_dense(args.x, args.t), cfg)
     if cfg.kind == "practical":
-        cuts = [int(s) for s in args.xs.split(",")]
-        pairs = fit_nu_practical(cuts)
+        pairs = fit_nu_practical(args.xs)
         lines = ["x,ratio"]
         lines += [f"{x},{fmt15(r)}" for x, r in pairs]
         ratios = [r for _, r in pairs]
@@ -289,8 +315,12 @@ def _parser():
     pe = sub.add_parser("enumerate", help="stream sequence members, one per line")
     pe.add_argument("kind", choices=["rough", "dense", "practical"])
     pe.add_argument("--x", type=int, required=True, help="upper cutoff")
-    pe.add_argument("--y", type=float, default=None, help="roughness bound (rough)")
-    pe.add_argument("--t", default=None, help="density ratio bound (dense)")
+    pe.add_argument(
+        "--y", type=_finite_float, default=None, help="roughness bound (rough)"
+    )
+    pe.add_argument(
+        "--t", type=_fraction, default=None, help="density ratio bound (dense)"
+    )
     pe.add_argument(
         "--threads",
         type=int,
@@ -303,8 +333,12 @@ def _parser():
     ps = sub.add_parser("stats", help="count, tau sum, harmonic sum at a cutoff")
     ps.add_argument("kind", choices=["rough", "dense", "practical"])
     ps.add_argument("--x", type=int, required=True, help="upper cutoff")
-    ps.add_argument("--y", type=float, default=None, help="roughness bound (rough)")
-    ps.add_argument("--t", default=None, help="density ratio bound (dense)")
+    ps.add_argument(
+        "--y", type=_finite_float, default=None, help="roughness bound (rough)"
+    )
+    ps.add_argument(
+        "--t", type=_fraction, default=None, help="density ratio bound (dense)"
+    )
     _add_out(ps)
     ps.set_defaults(fn=_cmd_stats)
 
@@ -313,8 +347,10 @@ def _parser():
         "kind", choices=["rough", "dense", "practical", "L", "ctheta", "funceq"]
     )
     pv.add_argument("--x", type=int, default=10**5, help="cutoff (default 100000)")
-    pv.add_argument("--y", type=float, default=100.0, help="roughness bound (default 100)")
-    pv.add_argument("--t", default=None, help="density ratio bound")
+    pv.add_argument(
+        "--y", type=_finite_float, default=100.0, help="roughness bound (default 100)"
+    )
+    pv.add_argument("--t", type=_fraction, default=None, help="density ratio bound")
     pv.add_argument(
         "--theta",
         choices=["dense", "practical"],
@@ -324,6 +360,7 @@ def _parser():
     pv.add_argument("--n", type=int, default=10**5, help="series cutoff (default 100000)")
     pv.add_argument(
         "--xs",
+        type=_int_list,
         default="100000,1000000",
         help="comma-separated cutoffs for the practical fit",
     )

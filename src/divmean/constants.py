@@ -12,6 +12,9 @@ Truncating the v-integral at V in [5, 8] is the public contract; root and
 residue refinement quietly uses the whole tabulated range so certificates
 carry a truncation error near the table's noise floor, recorded per
 certificate in truncation_V.
+
+scipy.special (exp1, gammaln) is imported inside the functions that call
+it: the import costs about 0.2 s, and only the constants lab needs it.
 """
 
 import json
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gammaln
 
 from .errors import ContourError, PoleError, RangeError, SolverError
 from .funcs import (
@@ -96,6 +98,8 @@ class GEvaluator:
 
 
 def _truncation_bound(v_from, sigma_min, xi):
+    from scipy.special import gammaln
+
     p = -sigma_min - 1.0  # |(v+1)^{-s-1}| <= (v+1)^p
     h = xi.grid_step
     u = xi.grid_start + np.arange(len(xi.grid_values)) * h
@@ -202,6 +206,8 @@ def _real_root_certificate(root, residual, walk_ev, residue, truncation_V, half=
 
 def exp_integral_J(u):
     """Principal exponential integral int_u^inf e^-t dt / t, u > 0."""
+    from scipy.special import exp1
+
     arr = np.asarray(u, dtype=float)
     if np.any(arr <= 0.0):
         raise RangeError("exponential integral needs u > 0")
@@ -232,6 +238,8 @@ def _q_integrand_low(u, s):
 
 
 def _q_integrand_mid(u, s):
+    from scipy.special import exp1
+
     core = np.expm1(2.0 * exp1(u)) - B0 / u**2 - B1 / u
     return np.power(u, s) * core
 
@@ -242,6 +250,8 @@ def Q_eval(s, u_max=40.0):
     Q(s) = int_0^1 u^s (F - b0 u^-2 - b1 u^-1) du + b0/(s-1) + b1/s
          + int_1^umax u^s F du,   F(u) = e^{2J(u)} - 1.
     """
+    from scipy.special import exp1
+
     _check_not_pole(complex(s))
     eps = 1e-3
     # [0, eps] exactly from the Taylor head of the regularized integrand
@@ -459,6 +469,8 @@ def lambda0_via_I(delta=None):
 
 def H_bound(sigma):
     """2^{1-sigma} + int_1^inf |ratio'(v) - e^{-2g}| (v+1)^{-sigma} dv."""
+    from scipy.special import gammaln
+
     b = get_bundle()
     xi = b.ratio
     h = xi.grid_step
@@ -491,6 +503,8 @@ def buchstab_transform_check(s):
     """
     if not s > 1.0:
         raise RangeError(f"transform check needs s > 1, got {s}")
+    from scipy.special import exp1
+
     b = get_bundle()
     eps = 1e-3
     # e^{J} - 1 = e^{-gamma} u^{-1} e^{psi(u)} - 1 with psi analytic at 0

@@ -14,7 +14,8 @@ binary floats, so block membership is never ambiguous.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -29,6 +30,9 @@ OMEGA_BLOCKS = 13
 XI_BLOCKS = 16
 LAMBDA_STEP_BITS = 7
 LAMBDA_VMAX = 50
+# rows of the lambda march quadratured together: a row near v = 50 has about
+# 1,100 Gauss nodes, so a batch of 64 rows keeps each temporary under 1 MB
+LAMBDA_BATCH_ROWS = 64
 
 # integral of a cubic over one step from 4 consecutive nodes: the panel
 # [x_p, x_{p+1}] uses (p-1..p+2) inside a block, a one-sided stencil at
@@ -68,7 +72,7 @@ class PiecewiseFn:
     grid_block: int
     grid_values: np.ndarray
     tail_fn: object  # vectorized fn above grid_end, or None
-    err_budget: float
+    err_budget: float  # None where no budget is declared
     flagged_points: tuple = ()
 
     @property
@@ -100,30 +104,6 @@ class PiecewiseFn:
 
     def __call__(self, u):
         return float(self.eval_many(np.float64(u)))
-
-
-@dataclass
-class GridCum:
-    """Cumulative integral from the grid start, on the same aligned grid."""
-
-    start: float
-    step: float
-    block: int
-    values: np.ndarray
-
-    @property
-    def end(self):
-        return self.start + (len(self.values) - 1) * self.step
-
-    def eval_many(self, us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        out = np.zeros(us.shape)
-        m = us > self.start
-        if m.any():
-            out[m] = _cubic_interp(
-                self.start, self.step, self.block, self.values, np.minimum(us[m], self.end)
-            )
-        return out
 
 
 def _panel_value(f, p, block, h):
@@ -171,6 +151,22 @@ def _march_delay(c0, c1, n_blocks, step_bits):
     return np.array(f), np.array(icum)
 
 
+def _cumulative_fn(name, icum, tail_fn):
+    """int_1^u of a marched function: zero below 1, its grid, then tail_fn."""
+    return PiecewiseFn(
+        name=name,
+        support_lo=1.0,
+        exact_pieces=[],
+        exact_hi=1.0,
+        grid_start=1.0,
+        grid_step=2.0**-OMEGA_STEP_BITS,
+        grid_block=1 << OMEGA_STEP_BITS,
+        grid_values=icum,
+        tail_fn=tail_fn,
+        err_budget=None,
+    )
+
+
 def build_buchstab():
     vals, icum = _march_delay(1.0, 1.0, OMEGA_BLOCKS, OMEGA_STEP_BITS)
     block = 1 << OMEGA_STEP_BITS
@@ -189,7 +185,10 @@ def build_buchstab():
         tail_fn=lambda x: np.full(np.shape(x), EXP_NEG_GAMMA),
         err_budget=1e-9,
     )
-    cum = GridCum(1.0, 2.0**-OMEGA_STEP_BITS, block, icum)
+    end, top = fn.grid_end, icum[-1]
+    cum = _cumulative_fn(
+        "buchstab_integral", icum, lambda x: top + (x - end) * EXP_NEG_GAMMA
+    )
     return fn, cum
 
 
@@ -211,7 +210,12 @@ def build_ratio_fn():
         tail_fn=lambda x: (x + 2.0) * EXP_NEG_2GAMMA,
         err_budget=2e-9,
     )
-    cum = GridCum(1.0, 2.0**-OMEGA_STEP_BITS, block, icum)
+    end, top = fn.grid_end, icum[-1]
+    cum = _cumulative_fn(
+        "ratio_integral",
+        icum,
+        lambda x: top + EXP_NEG_2GAMMA * (0.5 * (x**2 - end**2) + 2.0 * (x - end)),
+    )
     return fn, cum
 
 
@@ -248,21 +252,31 @@ _GL12 = np.polynomial.legendre.leggauss(12)
 _GL20 = np.polynomial.legendre.leggauss(20)
 
 
-def _panel_nodes(edges, gl, max_width=0.5):
-    """Gauss nodes and weights over [edges[0], edges[-1]] split at edges."""
-    refined = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        parts = max(1, math.ceil((b - a) / max_width))
-        step = (b - a) / parts
-        for i in range(parts):
-            refined.append((a + i * step, a + (i + 1) * step))
+def _gauss_panels(a, b, gl, max_width):
+    """Gauss nodes and weights on the panels [a[i], b[i]].
+
+    Each panel is cut into equal parts no wider than max_width; also
+    returns the number of parts of each panel.
+    """
+    parts = np.maximum(1.0, np.ceil((b - a) / max_width))
+    step = (b - a) / parts
+    counts = parts.astype(np.int64)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    i = (np.arange(counts.sum()) - first).astype(float)
+    a0, step = np.repeat(a, counts), np.repeat(step, counts)
+    lo, hi = a0 + i * step, a0 + (i + 1.0) * step
     xg, wg = gl
-    a = np.array([p[0] for p in refined])
-    b = np.array([p[1] for p in refined])
-    mid = 0.5 * (a + b)
-    rad = 0.5 * (b - a)
+    mid = 0.5 * (lo + hi)
+    rad = 0.5 * (hi - lo)
     nodes = (mid[:, None] + rad[:, None] * xg[None, :]).ravel()
     weights = (rad[:, None] * wg[None, :]).ravel()
+    return nodes, weights, counts
+
+
+def _panel_nodes(edges, gl, max_width=0.5):
+    """Gauss nodes and weights over [edges[0], edges[-1]] split at edges."""
+    edges = np.asarray(edges, dtype=float)
+    nodes, weights, _ = _gauss_panels(edges[:-1], edges[1:], gl, max_width)
     return nodes, weights
 
 
@@ -293,8 +307,53 @@ def _merge_edges(points, lo, hi, eps=1e-12):
     return edges
 
 
+def _growth_panels(vs):
+    """Gauss panels of the lambda integrals at the abscissas vs.
+
+    Row i covers [0, (v_i-1)/2], split at the integers and at the kinks
+    u_j = (v_i-j)/(j+1) of the ratio argument, exactly as _merge_edges and
+    _panel_nodes split it.  On the lambda grid distinct breakpoints lie far
+    more than eps apart, so dropping a point close to its sorted
+    predecessor is the same as dropping one close to the last kept point.
+    Returns the nodes, the weights, and the node offsets of the rows.
+    """
+    eps = 1e-12  # the default of _merge_edges
+    ub = (vs - 1.0) / 2.0
+    ints = np.arange(1.0, int(ub.max()) + 1.0)
+    js = np.arange(2.0, int(vs.max()) + 1.0)
+    pts = np.concatenate(
+        [np.broadcast_to(ints, (len(vs), len(ints))), (vs[:, None] - js) / (js + 1.0)],
+        axis=1,
+    )
+    pts = np.where((pts > eps) & (pts < ub[:, None] - eps), pts, np.nan)
+    pts.sort(axis=1)  # NaN padding sorts last and is never kept
+    prev = np.concatenate([np.zeros((len(vs), 1)), pts[:, :-1]], axis=1)
+    keep = pts - prev > eps
+    inner = keep.sum(axis=1)
+    ends = np.ones((len(vs), 1), bool)
+    edges = np.concatenate([np.zeros((len(vs), 1)), pts, ub[:, None]], axis=1)
+    edges = edges[np.concatenate([ends, keep, ends], axis=1)]
+    # consecutive edges pair up into panels, except across a row boundary
+    row_end = np.cumsum(inner + 2) - 1
+    same_row = np.ones(len(edges) - 1, bool)
+    same_row[row_end[:-1]] = False
+    nodes, weights, parts = _gauss_panels(
+        edges[:-1][same_row], edges[1:][same_row], _GL12, 0.5
+    )
+    sub_end = np.cumsum(parts)[np.cumsum(inner + 1) - 1]
+    offsets = np.concatenate([[0], sub_end * len(_GL12[0])])
+    return nodes, weights, offsets
+
+
 def build_growth_fn(ratio):
-    """March f(v) = v - int_0^{(v-1)/2} f(u) ratio((v-u)/(u+1)) du/(u+1)."""
+    """March f(v) = v - int_0^{(v-1)/2} f(u) ratio((v-u)/(u+1)) du/(u+1).
+
+    f(v) reads f only on [0, (v-1)/2] and every interpolation stencil stays
+    inside one unit block, so each v in (a, 2a+1] needs grid values up to
+    the integer a only.  The march therefore fills (1, 3], (3, 7], (7, 15],
+    ... one chunk at a time, quadraturing up to LAMBDA_BATCH_ROWS rows in
+    one pass; each row is summed alone, in the order _quad_sum uses.
+    """
     h = 2.0**-LAMBDA_STEP_BITS
     block = 1 << LAMBDA_STEP_BITS
     n = (LAMBDA_VMAX - 1) * block
@@ -308,22 +367,18 @@ def build_growth_fn(ratio):
             out[m] = _cubic_interp(1.0, h, block, lam, out[m])
         return out
 
-    for k in range(1, n + 1):
-        v = 1.0 + k * h
-        ub = (v - 1.0) / 2.0
-        brks = list(range(1, int(ub) + 1))
-        j = 2
-        while True:
-            uj = (v - j) / (j + 1.0)
-            if uj <= 0:
-                break
-            brks.append(uj)
-            j += 1
-        edges = _merge_edges(brks, 0.0, ub)
-        nodes, weights = _panel_nodes(edges, _GL12)
-        arg = (v - nodes) / (nodes + 1.0)
-        integrand = lam_eval(nodes) * ratio.eval_many(arg) / (nodes + 1.0)
-        lam[k] = v - float(_quad_sum(weights, integrand))
+    a, k_lo = 1, 1
+    while k_lo <= n:
+        k_hi = min(2 * a * block, n)  # v = 2a + 1
+        for k0 in range(k_lo, k_hi + 1, LAMBDA_BATCH_ROWS):
+            ks = np.arange(k0, min(k0 + LAMBDA_BATCH_ROWS, k_hi + 1))
+            vs = 1.0 + ks * h
+            nodes, weights, offsets = _growth_panels(vs)
+            arg = (np.repeat(vs, np.diff(offsets)) - nodes) / (nodes + 1.0)
+            terms = lam_eval(nodes) * ratio.eval_many(arg) / (nodes + 1.0) * weights
+            sums = [terms[i:j].sum() for i, j in zip(offsets[:-1], offsets[1:])]
+            lam[ks] = vs - np.array(sums)
+        a, k_lo = 2 * a + 1, k_hi + 1
 
     return PiecewiseFn(
         name="growth_fn",
@@ -368,24 +423,44 @@ def ratio_via_convolution(u, buchstab):
     return two_w + conv
 
 
-@dataclass
 class FnBundle:
-    buchstab: PiecewiseFn
-    ratio: PiecewiseFn
-    ratio_prime: DelayDerivative
-    growth: PiecewiseFn
-    buchstab_cum: GridCum = field(repr=False)
-    ratio_cum: GridCum = field(repr=False)
+    """The tabulated functions of one process, each built when first read."""
+
+    @cached_property
+    def _buchstab_tables(self):
+        return build_buchstab()
+
+    @cached_property
+    def _ratio_tables(self):
+        return build_ratio_fn()
+
+    @property
+    def buchstab(self):
+        return self._buchstab_tables[0]
+
+    @property
+    def buchstab_cum(self):
+        return self._buchstab_tables[1]
+
+    @property
+    def ratio(self):
+        return self._ratio_tables[0]
+
+    @property
+    def ratio_cum(self):
+        return self._ratio_tables[1]
+
+    @cached_property
+    def ratio_prime(self):
+        return DelayDerivative(self.ratio)
+
+    @cached_property
+    def growth(self):
+        return build_growth_fn(self.ratio)
 
     def buchstab_integral_from_one(self, us):
         """int_1^u buchstab, extended past the grid by the constant tail."""
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        out = self.buchstab_cum.eval_many(us)
-        end = self.buchstab_cum.end
-        m = us > end
-        if m.any():
-            out[m] = self.buchstab_cum.values[-1] + (us[m] - end) * EXP_NEG_GAMMA
-        return out
+        return self.buchstab_cum.eval_many(np.atleast_1d(us))
 
     def buchstab_defect_integral(self, u):
         """int_0^u (buchstab(s) - e^-gamma) ds; tends to e^-gamma - 1."""
@@ -394,16 +469,7 @@ class FnBundle:
         return float(out[0]) if np.ndim(u) == 0 else out
 
     def ratio_integral_from_one(self, us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        out = self.ratio_cum.eval_many(us)
-        end = self.ratio_cum.end
-        m = us > end
-        if m.any():
-            x = us[m]
-            out[m] = self.ratio_cum.values[-1] + EXP_NEG_2GAMMA * (
-                0.5 * (x**2 - end**2) + 2.0 * (x - end)
-            )
-        return out
+        return self.ratio_cum.eval_many(np.atleast_1d(us))
 
     def buchstab_residual(self, u):
         """u*w(u) - 1 - int_1^{u-1} w; zero on the true solution."""
@@ -415,21 +481,7 @@ class FnBundle:
         return u * self.ratio(u) - 2.0 - 2.0 * float(self.ratio_integral_from_one(u - 1.0)[0])
 
 
-_BUNDLE = None
-
-
+@cache
 def get_bundle():
-    """Build the marched tables once per process."""
-    global _BUNDLE
-    if _BUNDLE is None:
-        w, w_cum = build_buchstab()
-        xi, xi_cum = build_ratio_fn()
-        _BUNDLE = FnBundle(
-            buchstab=w,
-            ratio=xi,
-            ratio_prime=DelayDerivative(xi),
-            growth=build_growth_fn(xi),
-            buchstab_cum=w_cum,
-            ratio_cum=xi_cum,
-        )
-    return _BUNDLE
+    """The process-wide bundle; its tables are built on first read."""
+    return FnBundle()

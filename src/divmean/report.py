@@ -291,11 +291,10 @@ def _csv(header, columns):
 
 def tabulate_fn(name, lo, hi, step):
     """CSV table of one special function with its grid error budget."""
-    b = get_bundle()
-    fns = {"omega": b.buchstab, "xi": b.ratio, "lambda": b.growth}
-    if name not in fns:
+    attrs = {"omega": "buchstab", "xi": "ratio", "lambda": "growth"}
+    if name not in attrs:
         raise RangeError(f"unknown function {name!r}")
-    fn = fns[name]
+    fn = getattr(get_bundle(), attrs[name])  # builds only the table asked for
     var = "v" if name == "lambda" else "u"
     xs = _grid(float(lo), float(hi), float(step))
     vals = fn.eval_many(xs)

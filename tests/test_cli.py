@@ -206,6 +206,33 @@ class TestConstantsCommand:
         assert run(["constants", "--v", "4"], capsys)[0] == 2
 
 
+class TestBadNumbers:
+    """A malformed number is a usage error (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "dense", "--x", "1000", "--t", "nan"],
+            ["verify", "dense", "--x", "1000", "--t", "abc"],
+            ["verify", "rough", "--y", "inf"],
+            ["stats", "rough", "--x", "100", "--y", "1e400"],
+            ["verify", "practical", "--xs", "1,x"],
+        ],
+        ids=["t-nan", "t-abc", "y-inf", "y-1e400", "xs-1,x"],
+    )
+    def test_usage_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_rational_t_still_accepted(self, capsys):
+        code, out, _ = run(["stats", "dense", "--x", "1000", "--t", "5/2"], capsys)
+        assert code == 0
+        assert out.splitlines()[1].startswith("1000,")
+
+
 class TestOutputFile:
     def test_out_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "xi.csv"

@@ -2,6 +2,8 @@
 
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+import divmean
 from divmean.errors import RangeError
 from divmean.funcs import (
+    _GL12,
     EXP_NEG_2GAMMA,
     EXP_NEG_GAMMA,
+    LAMBDA_STEP_BITS,
+    LAMBDA_VMAX,
+    _cubic_interp,
+    _merge_edges,
+    build_growth_fn,
     get_bundle,
     ratio_via_convolution,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(divmean.__file__).resolve().parents[1]
 
 
 def _grid_u(fn):
@@ -208,3 +218,97 @@ class TestInterpolation:
         us = xi.grid_start + idx * xi.grid_step
         got = xi.eval_many(us)
         assert np.allclose(got, xi.grid_values[idx], rtol=0, atol=1e-13)
+
+
+def _stepwise_growth_grid(ratio):
+    """Reference lambda march: one Python step per grid node.
+
+    This is the march the batched build_growth_fn replaced, panel loop
+    included; the batched march must reproduce its values bit for bit.
+    """
+    h = 2.0**-LAMBDA_STEP_BITS
+    block = 1 << LAMBDA_STEP_BITS
+    n = (LAMBDA_VMAX - 1) * block
+    lam = np.zeros(n + 1)
+    lam[0] = 1.0
+    xg, wg = _GL12
+    for k in range(1, n + 1):
+        v = 1.0 + k * h
+        ub = (v - 1.0) / 2.0
+        brks = list(range(1, int(ub) + 1))
+        j = 2
+        while (v - j) / (j + 1.0) > 0:
+            brks.append((v - j) / (j + 1.0))
+            j += 1
+        edges = _merge_edges(brks, 0.0, ub)
+        panels = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            parts = max(1, math.ceil((b - a) / 0.5))
+            step = (b - a) / parts
+            panels += [(a + i * step, a + (i + 1) * step) for i in range(parts)]
+        pa = np.array([p[0] for p in panels])
+        pb = np.array([p[1] for p in panels])
+        mid, rad = 0.5 * (pa + pb), 0.5 * (pb - pa)
+        nodes = (mid[:, None] + rad[:, None] * xg[None, :]).ravel()
+        weights = (rad[:, None] * wg[None, :]).ravel()
+        lam_at = nodes.copy()
+        m = lam_at >= 1.0
+        lam_at[m] = _cubic_interp(1.0, h, block, lam, lam_at[m])
+        integrand = lam_at * ratio.eval_many((v - nodes) / (nodes + 1.0)) / (nodes + 1.0)
+        lam[k] = v - float((integrand * weights).sum())
+    return lam
+
+
+class TestBatchedMarch:
+    def test_bit_identical_to_stepwise_march(self, bundle):
+        got = build_growth_fn(bundle.ratio).grid_values
+        want = _stepwise_growth_grid(bundle.ratio)
+        assert got.shape == want.shape
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert differ.size == 0, f"{differ.size} nodes differ, first at {differ[:5]}"
+
+
+def _fresh_python(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestLaziness:
+    """Each table is built on first read; scipy loads only where it is called.
+
+    These run in fresh interpreters: the session bundle fixture shares one
+    process-wide bundle whose tables other tests have already built.
+    """
+
+    def test_cli_import_loads_no_scipy(self):
+        out = _fresh_python(
+            "import divmean.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert out.strip() == "[]"
+
+    def test_commands_without_lambda_never_build_it(self):
+        out = _fresh_python(
+            "from divmean.constants import constants_document\n"
+            "from divmean.funcs import get_bundle\n"
+            "from divmean.report import compare_rough, emit_figure_data, tabulate_fn\n"
+            "steps = [\n"
+            "    lambda: tabulate_fn('omega', 0.0, 10.0, 0.25),\n"
+            "    lambda: tabulate_fn('xi', 0.0, 10.0, 0.25),\n"
+            "    lambda: emit_figure_data('fig1'),\n"
+            "    lambda: compare_rough(10**5, 100),\n"
+            "    lambda: constants_document(),\n"
+            "    lambda: tabulate_fn('lambda', 0.0, 10.0, 0.25),\n"
+            "]\n"
+            "for step in steps:\n"
+            "    step()\n"
+            "    print('growth' in vars(get_bundle()))\n"
+        )
+        # the last step reads lambda, so the check can see a build
+        assert out.split() == ["False"] * 5 + ["True"]
