@@ -8,10 +8,9 @@ verification rows); progress and error text go to stderr.  Exit codes:
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._util import default_threads, fmt15, progress
+from ._util import default_threads, fmt15, progress, write_lines
 from .constants import (
     constants_document,
     document_to_json,
@@ -43,20 +42,6 @@ from .theta import (
     verify_funceq,
     write_b_stream,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one subcommand plus everything it may read."""
-
-    subcommand: str
-    kind: str = ""
-    params: dict = field(default_factory=dict)
-    out_format: str = "csv"  # csv | json | text
-    out_path: str = None
-    threads: int = 1
-    truncation_V: float = 6.0
-    grid: tuple = (None, None, None)  # lo, hi, step overrides
 
 
 def _fraction(text):
@@ -102,40 +87,17 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
-def _config(args):
-    grid = (
-        getattr(args, "lo", None),
-        getattr(args, "hi", None),
-        getattr(args, "step", None),
-    )
-    return RunConfig(
-        subcommand=args.cmd,
-        kind=getattr(args, "kind", ""),
-        params={
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("cmd", "kind", "fn", "out", "json", "threads", "v")
-        },
-        out_format="json" if getattr(args, "json", False) else "csv",
-        out_path=getattr(args, "out", None),
-        threads=getattr(args, "threads", 1),
-        truncation_V=getattr(args, "v", 6.0),
-        grid=grid,
-    )
-
-
 def _cmd_constants(args):
-    cfg = _config(args)
-    if cfg.out_format == "json":
-        _emit(document_to_json(constants_document()) + "\n", cfg.out_path)
+    if args.json:
+        _emit(document_to_json(constants_document()) + "\n", args.out)
         return 0
-    cert_g = find_delta_via_g(cfg.truncation_V)
+    cert_g = find_delta_via_g(args.v)
     cert_q = find_delta_via_Q()
     cert_full = refine_zero(0.7136125)
     pair = refine_zero(-1.962 + 11.575j)
     minus1 = refine_zero(-1.0)
     lines = [
-        f"delta via g (V={fmt15(cfg.truncation_V)}) = {fmt15(cert_g.location.real)}",
+        f"delta via g (V={fmt15(args.v)}) = {fmt15(cert_g.location.real)}",
         f"delta via transform = {fmt15(cert_q.location.real)}",
         f"delta refined (full grid) = {fmt15(cert_full.location.real)}",
         f"lambda0 via residue = {fmt15(cert_full.residue.real)}",
@@ -149,14 +111,12 @@ def _cmd_constants(args):
             fmt15(pair.residue.real), fmt15(pair.residue.imag)
         ),
     ]
-    _emit("\n".join(lines) + "\n", cfg.out_path)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_fn(args):
-    cfg = _config(args)
-    lo, hi, step = cfg.grid
-    _emit(tabulate_fn(cfg.kind, lo, hi, step), cfg.out_path)
+    _emit(tabulate_fn(args.kind, args.lo, args.hi, args.step), args.out)
     return 0
 
 
@@ -165,35 +125,29 @@ def _stream_out(path):
 
 
 def _cmd_enumerate(args):
-    cfg = _config(args)
-    fh = _stream_out(cfg.out_path)
+    fh = _stream_out(args.out)
     try:
-        if cfg.kind == "rough":
+        if args.kind == "rough":
             if args.y is None:
                 raise DivmeanError("rough enumeration needs --y")
-            members = rough_members(args.x, args.y)
-            for i in range(0, len(members), 1 << 16):
-                chunk = members[i : i + (1 << 16)].tolist()
-                fh.write("\n".join(map(str, chunk)))
-                fh.write("\n")
-            progress(f"enumerated {len(members)} rough members")
+            count = write_lines(fh, rough_members(args.x, args.y))
+            progress(f"enumerated {count} rough members")
         else:
-            rule = _theta_rule(cfg.kind, getattr(args, "t", None))
-            count = write_b_stream(rule, args.x, fh, threads=cfg.threads)
+            rule = _theta_rule(args.kind, args.t)
+            count = write_b_stream(rule, args.x, fh, threads=args.threads)
             progress(f"enumerated {count} chain members")
     finally:
-        if cfg.out_path:
+        if args.out:
             fh.close()
     return 0
 
 
 def _cmd_stats(args):
-    cfg = _config(args)
-    if cfg.kind == "rough":
+    if args.kind == "rough":
         if args.y is None:
             raise DivmeanError("rough stats need --y")
         st = rough_stats(args.x, args.y)
-    elif cfg.kind == "dense":
+    elif args.kind == "dense":
         if args.t is None:
             raise DivmeanError("dense stats need --t")
         st = dense_stats(args.x, args.t)
@@ -202,7 +156,7 @@ def _cmd_stats(args):
     harm = fmt15(st.harmonic) if st.harmonic is not None else ""
     _emit(
         f"x,count,tau_sum,harmonic\n{st.x},{st.count},{st.tau_sum},{harm}\n",
-        cfg.out_path,
+        args.out,
     )
     return 0
 
@@ -211,22 +165,21 @@ def _verdict(ok):
     return "PASS" if ok else "FAIL"
 
 
-def _rows_exit(rows, cfg):
-    text = rows_to_jsonl(rows) if cfg.out_format == "json" else rows_to_csv(rows)
+def _rows_exit(rows, args):
+    text = rows_to_jsonl(rows) if args.json else rows_to_csv(rows)
     ok = all(r.ok for r in rows)
-    _emit(text + _verdict(ok) + "\n", cfg.out_path)
+    _emit(text + _verdict(ok) + "\n", args.out)
     return 0 if ok else 1
 
 
 def _cmd_verify(args):
-    cfg = _config(args)
-    if cfg.kind == "rough":
-        return _rows_exit(compare_rough(args.x, args.y), cfg)
-    if cfg.kind == "dense":
+    if args.kind == "rough":
+        return _rows_exit(compare_rough(args.x, args.y), args)
+    if args.kind == "dense":
         if args.t is None:
             raise DivmeanError("dense verification needs --t")
-        return _rows_exit(compare_dense(args.x, args.t), cfg)
-    if cfg.kind == "practical":
+        return _rows_exit(compare_dense(args.x, args.t), args)
+    if args.kind == "practical":
         pairs = fit_nu_practical(args.xs)
         lines = ["x,ratio"]
         lines += [f"{x},{fmt15(r)}" for x, r in pairs]
@@ -234,20 +187,20 @@ def _cmd_verify(args):
         ok = all(
             abs(b - a) / a < 0.10 for a, b in zip(ratios, ratios[1:])
         ) and all(r > 0 for r in ratios)
-        _emit("\n".join(lines) + f"\n{_verdict(ok)}\n", cfg.out_path)
+        _emit("\n".join(lines) + f"\n{_verdict(ok)}\n", args.out)
         return 0 if ok else 1
-    if cfg.kind == "L":
-        rule = _theta_rule(args.theta, getattr(args, "t", None))
+    if args.kind == "L":
+        rule = _theta_rule(args.theta, args.t)
         ns = sorted({max(2, args.n // 100), max(2, args.n // 10), args.n})
         vals = [L_partial(rule, n) for n in ns]
         lines = ["N,L_partial"] + [f"{n},{fmt15(v)}" for n, v in zip(ns, vals)]
         ok = all(b >= a for a, b in zip(vals, vals[1:])) and all(
             0.0 < v <= 1.0 for v in vals
         )
-        _emit("\n".join(lines) + f"\n{_verdict(ok)}\n", cfg.out_path)
+        _emit("\n".join(lines) + f"\n{_verdict(ok)}\n", args.out)
         return 0 if ok else 1
-    if cfg.kind == "ctheta":
-        rule = _theta_rule(args.theta, getattr(args, "t", None))
+    if args.kind == "ctheta":
+        rule = _theta_rule(args.theta, args.t)
         info = c_theta_breakdown(rule, args.n)
         bx = args.count_x if args.count_x else 10 * args.n
         (st,) = chain_stats_multi(rule, [bx])
@@ -260,10 +213,10 @@ def _cmd_verify(args):
             f"negative_terms = {info['negative_terms']}",
         ]
         ok = gap < 0.1
-        _emit("\n".join(lines) + f"\n{_verdict(ok)}\n", cfg.out_path)
+        _emit("\n".join(lines) + f"\n{_verdict(ok)}\n", args.out)
         return 0 if ok else 1
     # funceq: exact integer identity between direct sums and chain splits
-    rule = _theta_rule(args.theta, getattr(args, "t", None))
+    rule = _theta_rule(args.theta, args.t)
     res = verify_funceq(args.x, rule)
     lines = [
         f"count_lhs = {res['count_lhs']}",
@@ -271,14 +224,12 @@ def _cmd_verify(args):
         f"tau_lhs = {res['tau_lhs']}",
         f"tau_rhs = {res['tau_rhs']}",
     ]
-    _emit("\n".join(lines) + f"\n{_verdict(res['exact'])}\n", cfg.out_path)
+    _emit("\n".join(lines) + f"\n{_verdict(res['exact'])}\n", args.out)
     return 0 if res["exact"] else 1
 
 
 def _cmd_figures(args):
-    cfg = _config(args)
-    lo, hi, step = cfg.grid
-    _emit(emit_figure_data(cfg.kind, lo, hi, step), cfg.out_path)
+    _emit(emit_figure_data(args.kind, args.lo, args.hi, args.step), args.out)
     return 0
 
 

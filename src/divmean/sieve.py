@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import RangeError, ResourceError
 
-# table entries, not bytes; ~0.5 GB of int32 at the cap
+# sieve entries, not bytes: at the cap ~0.5 GB for the int32 spf table and
+# ~0.13 GB for the bool prime sieve
 DEFAULT_SPF_BUDGET = 1 << 27
 
 
@@ -42,17 +43,6 @@ class SpfTable:
     def smallest_prime_factor(self, n):
         self.check_range(n)
         return int(self.spf[n]) if n > 1 else 0
-
-    def largest_prime_factor(self, n):
-        """P+(n); 0 for n=1 (empty factorization)."""
-        self.check_range(n)
-        big = 0
-        while n > 1:
-            p = int(self.spf[n])
-            big = p
-            while n % p == 0:
-                n //= p
-        return big
 
     def factorize(self, n):
         """Ascending [(p, multiplicity)] pairs."""
@@ -192,9 +182,13 @@ def _prefix_longdouble(terms):
     return cum
 
 
-def build_prime_list(limit):
+def build_prime_list(limit, budget_entries=DEFAULT_SPF_BUDGET):
     if limit < 2:
         raise RangeError(f"limit must be >= 2, got {limit}")
+    if limit + 1 > budget_entries:
+        raise ResourceError(
+            f"prime sieve of {limit + 1} entries exceeds budget {budget_entries}"
+        )
     comp = np.ones(limit + 1, dtype=bool)
     comp[:2] = False
     for p in range(2, isqrt(limit) + 1):

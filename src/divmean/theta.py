@@ -5,22 +5,27 @@ every prime satisfies p_i <= theta(prefix before p_i), with ties included.
 Dense-t uses theta(n) = n*t, practical uses theta(n) = sigma(n)+1, and
 custom rules carry an explicit admissible table.
 
-Enumeration is depth-first chain extension: from n, append p^a for primes
-P+(n) < p <= theta(n) with n*p^a <= x.  Every element is reached exactly
-once because its ascending factorization is its only chain.  All theta
-comparisons are exact integer arithmetic (rational t included), never
-floating point, so boundary ties cannot be misclassified.
+Enumeration is chain extension: from n, append p^a for primes
+P+(n) < p <= theta(n) with n*p^a <= x; each element has exactly one chain,
+its ascending factorization.  Most members are leaves n*p with
+p > sqrt(x/n), which can be extended no further, and for one n their primes
+form a contiguous slice of the prime list.  So a depth-first walk visits
+only the parents (members that are not such leaves) and handles each leaf
+slice in bulk: counts and tau sums from its length, members and rows as one
+numpy slice.  All theta comparisons are exact integer arithmetic (rational
+t included), never floating point, so boundary ties cannot be misclassified.
 """
 
 import math
-from bisect import bisect_left
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
-from ._util import pmap_ordered
+from ._util import pmap_ordered, write_lines
 from .errors import ConfigError, RangeError, ResourceError
 from .sieve import build_prime_list, build_spf_table, divisors_sorted
 
@@ -152,7 +157,8 @@ def _primes_for_rule(rule, x):
     if rule.kind == "dense":
         cap = isqrt((x * rule.t_num) // rule.t_den) + 1
     elif rule.kind == "practical":
-        # p <= min(sigma(n)+1, x/n) and sigma(n)/n < 5.5 below 1e9, so p^2 < 6.5x
+        # caps are min(sigma(n)+1, x/n) <= sqrt((sigma(n)+1) x/n); sigma(n)/n < 5.5
+        # below 1e9, so p^2 < 6.5x.  _parents raises if a cap ever outruns it.
         cap = isqrt(7 * x) + 1
     else:
         if x > CUSTOM_ENUM_LIMIT:
@@ -160,20 +166,28 @@ def _primes_for_rule(rule, x):
         finite = [v for v in rule.table.values() if v != math.inf]
         cap = x if len(finite) < len(rule.table) else int(max(finite, default=2))
     cap = min(max(cap, 2), max(x, 2))
-    return build_prime_list(cap).primes.tolist()
+    return build_prime_list(cap)
 
 
-def _walk(rule, x, plist, stack):
-    """Drain a DFS stack, yielding (n, sigma(n), tau(n)) per element."""
-    nprimes = len(plist)
+def _parents(rule, x, plist, limit, stack, spill=None):
+    """Walk the parents on stack; five int64s (n, sigma(n), tau(n), lo, hi) each.
+
+    plist holds every prime <= limit.  A stack entry (n, sigma(n), tau(n), i0)
+    may go on with the primes plist[i0:] up to cap = min(floor(theta(n)), x//n).
+    A child n*p with p > isqrt(x//n) is a leaf: n*p*p > x, and any further
+    prime would exceed p.  So the leaves of n are n*p for p in plist[lo:hi],
+    each with tau = 2*tau(n), and they are never pushed.  Smaller primes give
+    the children n*p^a, pushed onto the stack, or onto spill when it is given
+    (the caller walks them).
+    """
     kind = rule.kind
     tnum, tden = rule.t_num, rule.t_den
     tmap = rule.table
-    pop, push = stack.pop, stack.append
+    pop = stack.pop
+    push = (stack if spill is None else spill).append
+    out = array("q")
     while stack:
-        node = pop()
-        yield node[:3]
-        n, sg, tu, i0 = node
+        n, sg, tu, i0 = pop()
         lim = x // n
         if kind == "practical":
             cap = sg + 1
@@ -186,11 +200,13 @@ def _walk(rule, x, plist, stack):
             cap = lim if th == math.inf else math.floor(th)
         if cap > lim:
             cap = lim
-        i = i0
-        while i < nprimes:
+        if cap > limit:
+            raise RangeError(f"chain cap {cap} at n={n} beyond prime list limit {limit}")
+        hi = bisect_right(plist, cap, i0)
+        lo = bisect_right(plist, isqrt(lim), i0, hi)
+        out.extend((n, sg, tu, lo, hi))
+        for i in range(i0, lo):
             p = plist[i]
-            if p > cap:
-                break
             m = n * p
             spow = 1 + p
             a = 2
@@ -199,91 +215,93 @@ def _walk(rule, x, plist, stack):
                 m *= p
                 spow = spow * p + 1
                 a += 1
-            i += 1
+    return out
 
 
-def iter_chain(rule, x):
+def _chain(rule, x, threads=1):
+    """Parent records of B(x) as an int64 array, and the prime array they index.
+
+    The root is walked alone; the prime-power subtrees it spills are walked
+    through pmap_ordered, so every thread count runs the same code.
+    """
     if x < 1:
         raise RangeError(f"x must be >= 1, got {x}")
-    if x == 1:
-        yield (1, 1, 1)
-        return
-    plist = _primes_for_rule(rule, x)
-    yield from _walk(rule, x, plist, [(1, 1, 1, 0)])
+    primes = _primes_for_rule(rule, x)
+    plist = primes.primes.tolist()
+    seeds = []
+    recs = _parents(rule, x, plist, primes.limit, [(1, 1, 1, 0)], seeds)
+
+    def walk(seed):
+        return _parents(rule, x, plist, primes.limit, [seed])
+
+    for part in pmap_ordered(walk, seeds, threads):
+        recs.extend(part)
+    return np.frombuffer(recs, dtype=np.int64).reshape(-1, 5), primes.primes
 
 
-def _root_children(rule, x, plist):
-    """Stack entries for the prime-power subtrees hanging off n=1."""
-    cap = rule.theta_floor(1, 1)
-    cap = x if cap is None else min(cap, x)
-    stack = []
-    for i, p in enumerate(plist):
-        if p > cap:
-            break
-        m = p
-        spow = 1 + p
-        a = 2
-        while m <= x:
-            stack.append((m, spow, a, i + 1))
-            m *= p
-            spow = spow * p + 1
-            a += 1
-    return stack
+def _leaves(recs, parr):
+    """Leaf count of every record and the primes of all leaves, in record order."""
+    lo, hi = recs[:, 3], recs[:, 4]
+    lens = hi - lo
+    idx = np.repeat(lo - (np.cumsum(lens) - lens), lens)
+    idx += np.arange(len(idx))
+    return lens, parr[idx]
+
+
+def _theta_floors(rule, x, ns, sgs):
+    """floor(theta(n)) for arrays of members n with sigma(n); x stands for +inf."""
+    if rule.kind == "practical":
+        return sgs + 1
+    if rule.kind == "dense":
+        if int(x) * rule.t_num < 1 << 63:
+            return ns * rule.t_num // rule.t_den
+        # n*t_num overflows int64 (float t such as 2.1 has a 52-bit numerator)
+        floors = [n * rule.t_num // rule.t_den for n in ns.tolist()]
+    else:
+        floors = [x if f is None else f for f in map(rule.theta_floor, ns.tolist())]
+    return np.array(floors, dtype=np.int64)
+
+
+def _tally(rule, cuts):
+    """SeqStats of B at each ascending cutoff from one walk to the largest."""
+    recs, parr = _chain(rule, cuts[-1])
+    ns, tus, lo, hi = recs[:, 0], recs[:, 2], recs[:, 3], recs[:, 4]
+    out = []
+    for c in cuts:
+        leaves = np.clip(np.searchsorted(parr, c // ns, side="right"), lo, hi) - lo
+        inside = ns <= c
+        count = int(inside.sum() + leaves.sum())
+        out.append(SeqStats(c, count, int((tus * (inside + 2 * leaves)).sum())))
+    return out
 
 
 def generate_B(rule, x, threads=1):
-    """Sorted array of B(x).  Work may split over first-step subtrees."""
-    if threads <= 1 or x == 1:
-        ns = [n for n, _sg, _tu in iter_chain(rule, x)]
-    else:
-        if x < 1:
-            raise RangeError(f"x must be >= 1, got {x}")
-        plist = _primes_for_rule(rule, x)
-        seeds = [[c] for c in _root_children(rule, x, plist)]
-        parts = pmap_ordered(
-            lambda st: [n for n, _s, _t in _walk(rule, x, plist, st)], seeds, threads
-        )
-        ns = [1]
-        for part in parts:
-            ns.extend(part)
-    return np.array(sorted(ns), dtype=np.int64)
+    """Sorted array of B(x).  The root's subtrees may be walked on threads."""
+    recs, parr = _chain(rule, x, threads)
+    lens, p = _leaves(recs, parr)
+    ns = recs[:, 0]
+    return np.sort(np.concatenate([ns, np.repeat(ns, lens) * p]))
 
 
 def chain_stats_multi(rule, cutoffs):
-    """Counts and tau-sums of B at several cutoffs in one DFS pass."""
+    """Counts and tau-sums of B at several cutoffs from one walk."""
     cuts = sorted(int(c) for c in cutoffs)
     if not cuts or cuts[0] < 1:
         raise RangeError("cutoffs must be positive integers")
-    x = cuts[-1]
-    add_c = [0] * len(cuts)
-    add_t = [0] * len(cuts)
-    for n, _sg, tu in iter_chain(rule, x):
-        j = bisect_left(cuts, n)
-        add_c[j] += 1
-        add_t[j] += tu
-    out = []
-    run_c = run_t = 0
-    for c, ac, at in zip(cuts, add_c, add_t):
-        run_c += ac
-        run_t += at
-        out.append(SeqStats(c, run_c, run_t))
-    return out
+    return _tally(rule, cuts)
 
 
 def b_rows(rule, x):
     """Arrays (n, tau, theta_floor) over B(x), ascending in n."""
-    ns, taus, thetas = [], [], []
-    for n, sg, tu in iter_chain(rule, x):
-        ns.append(n)
-        taus.append(tu)
-        tf = rule.theta_floor(n, sg)
-        thetas.append(x if tf is None else tf)
-    order = np.argsort(np.array(ns, dtype=np.int64), kind="stable")
-    return (
-        np.array(ns, dtype=np.int64)[order],
-        np.array(taus, dtype=np.int64)[order],
-        np.array(thetas, dtype=np.int64)[order],
-    )
+    recs, parr = _chain(rule, x)
+    lens, p = _leaves(recs, parr)
+    n, sg, tu = recs[:, 0], recs[:, 1], recs[:, 2]
+    ns = np.concatenate([n, np.repeat(n, lens) * p])
+    taus = np.concatenate([tu, np.repeat(2 * tu, lens)])
+    sgs = np.concatenate([sg, np.repeat(sg, lens) * (p + 1)])
+    thetas = _theta_floors(rule, x, ns, sgs)
+    order = np.argsort(ns, kind="stable")
+    return ns[order], taus[order], thetas[order]
 
 
 def rough_members(x, y, budget=ROUGH_LIMIT):
@@ -316,20 +334,11 @@ def rough_stats(x, y, budget=ROUGH_LIMIT):
 def dense_stats(x, t):
     if Fraction(t) < 2:
         raise RangeError(f"t must be >= 2, got {t}")
-    return _chain_stats(ThetaRule.dense(t), x)
+    return _tally(ThetaRule.dense(t), [x])[0]
 
 
 def practical_stats(x):
-    return _chain_stats(ThetaRule.practical(), x)
-
-
-def _chain_stats(rule, x):
-    count = 0
-    tau_sum = 0
-    for _n, _sg, tu in iter_chain(rule, x):
-        count += 1
-        tau_sum += tu
-    return SeqStats(x, count, tau_sum)
+    return _tally(ThetaRule.practical(), [x])[0]
 
 
 def factor_nr(m, rule, table):
@@ -353,11 +362,7 @@ def factor_nr(m, rule, table):
 
 def write_b_stream(rule, x, fh, threads=1):
     """One decimal integer per line, ascending; returns the member count."""
-    count = 0
-    for n in generate_B(rule, x, threads=threads):
-        fh.write(f"{n}\n")
-        count += 1
-    return count
+    return write_lines(fh, generate_B(rule, x, threads=threads))
 
 
 def _bulk_tau(x):

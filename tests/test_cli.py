@@ -159,6 +159,16 @@ class TestVerify:
         assert out.splitlines()[-1] == "PASS"
         assert "negative_terms = 0" in out
 
+    def test_series_sieve_over_budget(self, capsys):
+        # theta(2) = 2e8 needs a prime sieve above the budget; refused before allocating
+        code, out, err = run(
+            ["verify", "L", "--theta", "dense", "--t", "100000000", "--n", "100"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: prime sieve of")
+
 
 class TestFigures:
     def test_fig2_matches_independent_oracle(self, capsys):

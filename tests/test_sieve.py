@@ -41,6 +41,12 @@ def test_spf_budget():
         build_spf_table(10**6, budget_entries=1000)
 
 
+def test_prime_list_budget():
+    with pytest.raises(ResourceError):
+        build_prime_list(10**6, budget_entries=1000)
+    assert build_prime_list(999, budget_entries=1000).primes[-1] == 997
+
+
 def test_spf_against_trial_division(spf_1e5):
     def spf_trial(n):
         if n % 2 == 0:

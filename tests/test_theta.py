@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divmean.errors import ConfigError, RangeError, ResourceError
-from divmean.sieve import build_spf_table, sigma, tau
+from divmean.sieve import build_prime_list, build_spf_table, sigma, tau
 from divmean.theta import (
     SeqStats,
     ThetaRule,
+    _chain,
+    _parents,
+    _primes_for_rule,
     b_rows,
     chain_stats_multi,
     dense_stats,
@@ -24,7 +27,6 @@ from divmean.theta import (
     is_in_B,
     is_practical_by_subset_sum,
     is_t_dense_by_divisors,
-    iter_chain,
     practical_stats,
     rough_stats,
     verify_funceq,
@@ -100,8 +102,10 @@ class TestGenerate:
             generate_B(ThetaRule.practical(), 0)
 
     def test_no_duplicates(self):
-        ns = [n for n, _s, _t in iter_chain(ThetaRule.dense(2), 50000)]
-        assert len(ns) == len(set(ns))
+        # generate_B sorts parents and leaves together without dropping repeats
+        ns = generate_B(ThetaRule.dense(2), 50000)
+        assert np.all(np.diff(ns) > 0)
+        assert len(ns) == dense_stats(50000, 2).count
 
     def test_matches_membership_filter(self, spf_1e5):
         for rule in (ThetaRule.dense(3), ThetaRule.practical()):
@@ -115,9 +119,16 @@ class TestGenerate:
             assert np.array_equal(base, generate_B(ThetaRule.practical(), 10**4, threads=k))
 
     def test_sigma_tau_carried_exactly(self, spf_1e5):
-        for n, sg, tu in iter_chain(ThetaRule.practical(), 3000):
+        recs, _ = _chain(ThetaRule.practical(), 3000)
+        for n, sg, tu, _lo, _hi in recs.tolist():
             assert sg == sigma(n, spf_1e5)
             assert tu == tau(n, spf_1e5)
+        # leaves carry 2*tau(n) and sigma(n)*(1+p); b_rows shows both for every member
+        ns, taus, thetas = b_rows(ThetaRule.practical(), 3000)
+        assert len(ns) > len(recs)
+        for n, tu, tf in zip(ns.tolist(), taus.tolist(), thetas.tolist()):
+            assert tu == tau(n, spf_1e5)
+            assert tf == sigma(n, spf_1e5) + 1
 
     def test_stream_writer(self):
         buf = io.StringIO()
@@ -294,6 +305,19 @@ class TestCustomRules:
         with pytest.raises(ConfigError):
             generate_B(rule, 100)
 
+    def test_leaf_values_needed_only_for_rows(self, spf_1e5):
+        # leaves are counted, never expanded, so only b_rows reads their theta
+        x = 1000
+        full = {n: sigma(n, spf_1e5) + 1 for n in range(1, x + 1)}
+        recs, _ = _chain(ThetaRule.custom(full), x)
+        parents_only = ThetaRule.custom({n: full[n] for n in recs[:, 0].tolist()})
+        assert len(recs) < len(generate_B(ThetaRule.practical(), x))
+        assert np.array_equal(
+            generate_B(parents_only, x), generate_B(ThetaRule.practical(), x)
+        )
+        with pytest.raises(ConfigError):
+            b_rows(parents_only, x)
+
     def test_infinite_theta_gives_full_interval(self):
         full = {n: math.inf for n in range(1, 61)}
         rule = ThetaRule.custom(full)
@@ -343,3 +367,84 @@ class TestRows:
         for n, tu, tf in zip(ns.tolist(), taus.tolist(), thetas.tolist()):
             assert tu == tau(n, spf_1e5)
             assert tf == sigma(n, spf_1e5) + 1
+
+
+def _reference_walk(rule, x):
+    """Member-by-member DFS over B(x), yielding (n, sigma(n), tau(n)) for each.
+
+    The engine walks parents only and counts their leaves in bulk; this plain
+    walk pushes every member through the stack and is the reference it must
+    match in exact integers.
+    """
+    plist = _primes_for_rule(rule, x).primes.tolist()
+    stack = [(1, 1, 1, 0)]
+    while stack:
+        n, sg, tu, i0 = stack.pop()
+        yield n, sg, tu
+        lim = x // n
+        cap = rule.theta_floor(n, sg)
+        cap = lim if cap is None else min(cap, lim)
+        for i in range(i0, len(plist)):
+            p = plist[i]
+            if p > cap:
+                break
+            m = n * p
+            spow = 1 + p
+            a = 2
+            while m <= x:
+                stack.append((m, sg * spow, tu * a, i + 1))
+                m *= p
+                spow = spow * p + 1
+                a += 1
+
+
+GATE_RULES = {
+    "practical": ThetaRule.practical,
+    "dense-2": lambda: ThetaRule.dense(2),
+    "dense-5/2": lambda: ThetaRule.dense(Fraction(5, 2)),
+    "dense-3": lambda: ThetaRule.dense(3),
+    "dense-10": lambda: ThetaRule.dense(10),
+    "dense-100": lambda: ThetaRule.dense(100),
+    # Fraction(2.1) has a 52-bit numerator: n*p*t_num overflows int64 above ~2000
+    "dense-2.1": lambda: ThetaRule.dense(2.1),
+}
+
+
+class TestEngineMatchesReferenceWalk:
+    """Integer equality of every public chain output with the member-by-member walk."""
+
+    @pytest.mark.parametrize("x", [10**3, 10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("name", sorted(GATE_RULES))
+    def test_all_outputs(self, name, x):
+        rule = GATE_RULES[name]()
+        rows = sorted(_reference_walk(rule, x))
+        ns = np.array([n for n, _s, _t in rows], dtype=np.int64)
+        taus = np.array([t for _n, _s, t in rows], dtype=np.int64)
+        thetas = np.array([rule.theta_floor(n, s) for n, s, _t in rows], dtype=np.int64)
+
+        got = b_rows(rule, x)
+        for arr, want in zip(got, (ns, taus, thetas)):
+            assert arr.dtype == np.int64
+            assert np.array_equal(arr, want)
+        assert np.array_equal(generate_B(rule, x), ns)
+        assert np.array_equal(generate_B(rule, x, threads=2), ns)
+
+        if rule.kind == "practical":
+            single = practical_stats(x)
+        else:
+            single = dense_stats(x, Fraction(rule.t_num, rule.t_den))
+        assert single == SeqStats(x, len(rows), int(taus.sum()))
+
+        cuts = [1, 2, 7, x // 10, x // 3 + 1, x - 1, x]
+        multi = chain_stats_multi(rule, cuts)
+        for c, st_ in zip(sorted(cuts), multi):
+            inside = ns <= c
+            assert st_ == SeqStats(c, int(inside.sum()), int(taus[inside].sum()))
+
+
+class TestPrimeCap:
+    def test_short_prime_list_raises(self):
+        # dense(2) at 1000 has caps up to 31 (n=32: min(64, 1000//32)); primes to 10 fall short
+        pl = build_prime_list(10)
+        with pytest.raises(RangeError, match="beyond prime list limit 10"):
+            _parents(ThetaRule.dense(2), 1000, pl.primes.tolist(), pl.limit, [(1, 1, 1, 0)])
