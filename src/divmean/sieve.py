@@ -182,12 +182,12 @@ def _prefix_longdouble(terms):
     return cum
 
 
-def build_prime_list(limit, budget_entries=DEFAULT_SPF_BUDGET):
+def build_prime_list(limit):
     if limit < 2:
         raise RangeError(f"limit must be >= 2, got {limit}")
-    if limit + 1 > budget_entries:
+    if limit + 1 > DEFAULT_SPF_BUDGET:
         raise ResourceError(
-            f"prime sieve of {limit + 1} entries exceeds budget {budget_entries}"
+            f"prime sieve of {limit + 1} entries exceeds budget {DEFAULT_SPF_BUDGET}"
         )
     comp = np.ones(limit + 1, dtype=bool)
     comp[:2] = False

@@ -218,24 +218,28 @@ def _parents(rule, x, plist, limit, stack, spill=None):
     return out
 
 
-def _chain(rule, x, threads=1):
+def _chain(rule, x, threads=None):
     """Parent records of B(x) as an int64 array, and the prime array they index.
 
-    The root is walked alone; the prime-power subtrees it spills are walked
-    through pmap_ordered, so every thread count runs the same code.
+    Without a thread count the walk runs on one stack.  generate_B passes one:
+    the root is walked alone and the prime-power subtrees it spills go through
+    pmap_ordered, so its serial and threaded runs share one path.
     """
     if x < 1:
         raise RangeError(f"x must be >= 1, got {x}")
     primes = _primes_for_rule(rule, x)
     plist = primes.primes.tolist()
-    seeds = []
-    recs = _parents(rule, x, plist, primes.limit, [(1, 1, 1, 0)], seeds)
+    if threads is None:
+        recs = _parents(rule, x, plist, primes.limit, [(1, 1, 1, 0)])
+    else:
+        seeds = []
+        recs = _parents(rule, x, plist, primes.limit, [(1, 1, 1, 0)], seeds)
 
-    def walk(seed):
-        return _parents(rule, x, plist, primes.limit, [seed])
+        def walk(seed):
+            return _parents(rule, x, plist, primes.limit, [seed])
 
-    for part in pmap_ordered(walk, seeds, threads):
-        recs.extend(part)
+        for part in pmap_ordered(walk, seeds, threads):
+            recs.extend(part)
     return np.frombuffer(recs, dtype=np.int64).reshape(-1, 5), primes.primes
 
 
@@ -313,12 +317,14 @@ def rough_members(x, y, budget=ROUGH_LIMIT):
     if x > budget:
         raise RangeError(f"x={x} above rough sieve limit {budget}")
     yf = min(math.floor(y), x)
+    root = isqrt(x)
     mask = np.ones(x + 1, dtype=bool)
     mask[0] = False
-    if yf >= 2:
-        for p in build_prime_list(yf).primes:
+    if min(yf, root) >= 2:
+        for p in build_prime_list(min(yf, root)).primes:
             mask[p::p] = False
-        mask[1] = True
+    # what survives in (sqrt(x), y] is prime, hence not y-rough
+    mask[root + 1 : yf + 1] = False
     return np.flatnonzero(mask).astype(np.int64)
 
 

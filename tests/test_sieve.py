@@ -15,6 +15,7 @@ from divmean import (
     sigma,
     tau,
 )
+from divmean.sieve import DEFAULT_SPF_BUDGET
 
 E_GAMMA = math.exp(-np.euler_gamma)
 
@@ -42,9 +43,10 @@ def test_spf_budget():
 
 
 def test_prime_list_budget():
+    # the check runs before the sieve is allocated
     with pytest.raises(ResourceError):
-        build_prime_list(10**6, budget_entries=1000)
-    assert build_prime_list(999, budget_entries=1000).primes[-1] == 997
+        build_prime_list(DEFAULT_SPF_BUDGET)
+    assert build_prime_list(999).primes[-1] == 997
 
 
 def test_spf_against_trial_division(spf_1e5):

@@ -28,6 +28,7 @@ from divmean.theta import (
     is_practical_by_subset_sum,
     is_t_dense_by_divisors,
     practical_stats,
+    rough_members,
     rough_stats,
     verify_funceq,
     write_b_stream,
@@ -174,6 +175,21 @@ class TestRoughStats:
         assert st_.count == phi == 22
         assert st_.tau_sum == s == 43
         assert st_.harmonic == pytest.approx(harm, abs=1e-12)
+
+    def test_members_match_smallest_prime_factor(self, spf_1e5):
+        for x in (1, 2, 3, 4, 8, 9, 10, 99, 100, 101, 1000):
+            for y in (2, 2.5, 3, 7, 9.9, 10, 11, 31, 32, 100, 1000, 5000):
+                want = [1] + [n for n in range(2, x + 1) if spf_1e5.smallest_prime_factor(n) > y]
+                assert rough_members(x, y).tolist() == want, (x, y)
+
+    def test_sieves_only_to_sqrt_x(self, monkeypatch):
+        # with y >= x the old sieve built a prime list to x; at x = ROUGH_LIMIT
+        # that was beyond the sieve budget.  Same situation at a small budget:
+        monkeypatch.setattr("divmean.sieve.DEFAULT_SPF_BUDGET", 64)
+        with pytest.raises(ResourceError):
+            build_prime_list(1000)
+        assert rough_members(1000, 1000).tolist() == [1]
+        assert rough_stats(1000, 500).count == 1 + 168 - 95
 
     def test_domain_errors(self):
         with pytest.raises(RangeError):
