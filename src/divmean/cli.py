@@ -22,7 +22,7 @@ from .constants import (
 )
 from .errors import DivmeanError
 from .report import (
-    L_partial,
+    L_partial_multi,
     c_theta_breakdown,
     compare_dense,
     compare_rough,
@@ -192,7 +192,7 @@ def _cmd_verify(args):
     if args.kind == "L":
         rule = _theta_rule(args.theta, args.t)
         ns = sorted({max(2, args.n // 100), max(2, args.n // 10), args.n})
-        vals = [L_partial(rule, n) for n in ns]
+        vals = L_partial_multi(rule, ns)
         lines = ["N,L_partial"] + [f"{n},{fmt15(v)}" for n, v in zip(ns, vals)]
         ok = all(b >= a for a, b in zip(vals, vals[1:])) and all(
             0.0 < v <= 1.0 for v in vals
@@ -202,7 +202,7 @@ def _cmd_verify(args):
     if args.kind == "ctheta":
         rule = _theta_rule(args.theta, args.t)
         info = c_theta_breakdown(rule, args.n)
-        bx = args.count_x if args.count_x else 10 * args.n
+        bx = 10 * args.n if args.count_x is None else args.count_x
         (st,) = chain_stats_multi(rule, [bx])
         target = st.count * math.log(bx) / bx
         gap = abs(info["value"] - target)

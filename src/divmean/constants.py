@@ -98,8 +98,6 @@ class GEvaluator:
 
 
 def _truncation_bound(v_from, sigma_min, xi):
-    from scipy.special import gammaln
-
     p = -sigma_min - 1.0  # |(v+1)^{-s-1}| <= (v+1)^p
     h = xi.grid_step
     u = xi.grid_start + np.arange(len(xi.grid_values)) * h
@@ -118,12 +116,18 @@ def _truncation_bound(v_from, sigma_min, xi):
         total = float((sup_gap * sup_w).sum() * h)
     else:
         total = 0.0
-    # past the table: superexponential envelope 2^v / (7 Gamma(v+1))
-    end = xi.grid_end
+    return _tail_envelope(xi.grid_end, p, total)
+
+
+def _tail_envelope(end, p, total):
+    """total plus the tail past the table: envelope 2^v / (7 Gamma(v+1)) times
+    the larger end of the weight (v+1)^p on each unit step from end."""
+    from scipy.special import gammaln
+
     for k in range(60):
         a = end + k
         env = math.exp((a + 1.0) * math.log(2.0) - float(gammaln(a + 1.0))) / 7.0
-        term = env * (a + 2.0) ** p if p > 0 else env * (a + 1.0) ** p
+        term = env * max((a + 1.0) ** p, (a + 2.0) ** p)
         total += term
         if term < 1e-18:
             break
@@ -469,8 +473,6 @@ def lambda0_via_I(delta=None):
 
 def H_bound(sigma):
     """2^{1-sigma} + int_1^inf |ratio'(v) - e^{-2g}| (v+1)^{-sigma} dv."""
-    from scipy.special import gammaln
-
     b = get_bundle()
     xi = b.ratio
     h = xi.grid_step
@@ -484,15 +486,7 @@ def H_bound(sigma):
     nodes, wts = _panel_nodes(edges, _GL16, max_width=0.25)
     vals = np.abs(b.ratio_prime.eval_many(nodes) - EXP_NEG_2GAMMA)
     total = float(_quad_sum(wts, vals * (nodes + 1.0) ** (-sigma)))
-    end = xi.grid_end
-    for k in range(60):
-        a = end + k
-        env = math.exp((a + 1.0) * math.log(2.0) - float(gammaln(a + 1.0))) / 7.0
-        term = env * max((a + 1.0) ** -sigma, (a + 2.0) ** -sigma)
-        total += term
-        if term < 1e-18:
-            break
-    return 2.0 ** (1.0 - sigma) + total
+    return 2.0 ** (1.0 - sigma) + _tail_envelope(xi.grid_end, -sigma, total)
 
 
 def buchstab_transform_check(s):

@@ -214,13 +214,24 @@ def fit_nu_practical(xs):
     return [(s.x, s.tau_sum / (s.x * math.log(s.x) ** d)) for s in stats]
 
 
+def L_partial_multi(rule, cutoffs):
+    """Partial sums of the tau-weighted squared-Mertens series, one per cutoff.
+
+    One walk and one prime list at the largest cutoff serve every cutoff:
+    B(N) is the prefix of its rows with n <= N, each term depends on n alone,
+    and fsum is correctly rounded, so each value has the bits of its own walk.
+    The one exception is a custom rule with an infinite theta, whose Mertens
+    product is then taken up to the largest cutoff rather than to N.
+    """
+    ns, taus, tf = b_rows(rule, max(cutoffs))
+    m = _plist_for(tf.max()).mertens_many(tf)
+    terms = (taus.astype(np.float64) / ns.astype(np.float64) * m * m).tolist()
+    return [math.fsum(terms[: np.searchsorted(ns, N, "right")]) for N in cutoffs]
+
+
 def L_partial(rule, N):
     """Partial sum of the tau-weighted squared-Mertens series over the chain."""
-    ns, taus, tf = b_rows(rule, N)
-    pl = _plist_for(tf.max())
-    m = pl.mertens_many(tf)
-    terms = taus.astype(np.float64) / ns.astype(np.float64) * m * m
-    return float(math.fsum(terms.tolist()))
+    return L_partial_multi(rule, [N])[0]
 
 
 def c_theta_breakdown(rule, N):

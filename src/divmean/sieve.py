@@ -143,29 +143,33 @@ class PrimeList:
     def _prefix(self, which):
         if which == "log1m":
             if self._cum_log1m is None:
-                t = np.log1p(-1.0 / self.primes.astype(np.float64))
-                self._cum_log1m = _prefix_longdouble(t)
+                t = -1.0 / self.primes
+                self._cum_log1m = _prefix_longdouble(np.log1p(t, out=t))
             return self._cum_log1m
         if self._cum_logp_pm1 is None:
             p = self.primes.astype(np.float64)
             self._cum_logp_pm1 = _prefix_longdouble(np.log(p) / (p - 1.0))
         return self._cum_logp_pm1
 
-    def mertens_many(self, ys):
-        """Vectorized prod_{p<=y}(1-1/p) for an array of cutoffs."""
+    def _pi_many(self, ys):
+        """pi(floor(y)) for an array of cutoffs, searched in sorted order."""
         ys = np.asarray(ys)
         if ys.size and float(ys.max(initial=0.0)) > self.limit:
             raise RangeError("cutoff beyond prime list limit")
-        idx = np.searchsorted(self.primes, np.floor(ys).astype(np.int64), side="right")
-        return np.exp(self._prefix("log1m")[idx].astype(np.float64))
+        keys = np.floor(ys).astype(np.int64).ravel()
+        # sorted queries walk the prime array once instead of jumping around it
+        order = np.argsort(keys)
+        idx = np.empty_like(order)
+        idx[order] = np.searchsorted(self.primes, keys[order], side="right")
+        return idx.reshape(ys.shape)
+
+    def mertens_many(self, ys):
+        """Vectorized prod_{p<=y}(1-1/p) for an array of cutoffs."""
+        return np.exp(self._prefix("log1m")[self._pi_many(ys)].astype(np.float64))
 
     def logp_pm1_many(self, ys):
         """Vectorized sum_{p<=y} log(p)/(p-1)."""
-        ys = np.asarray(ys)
-        if ys.size and float(ys.max(initial=0.0)) > self.limit:
-            raise RangeError("cutoff beyond prime list limit")
-        idx = np.searchsorted(self.primes, np.floor(ys).astype(np.int64), side="right")
-        return self._prefix("logp_pm1")[idx].astype(np.float64)
+        return self._prefix("logp_pm1")[self._pi_many(ys)].astype(np.float64)
 
     def verify_against(self, table):
         """Completeness check versus an SpfTable (on the overlap)."""
@@ -178,7 +182,7 @@ class PrimeList:
 def _prefix_longdouble(terms):
     cum = np.empty(terms.size + 1, dtype=np.longdouble)
     cum[0] = 0.0
-    np.cumsum(terms.astype(np.longdouble), out=cum[1:])
+    np.cumsum(terms, dtype=np.longdouble, out=cum[1:])
     return cum
 
 
@@ -189,12 +193,15 @@ def build_prime_list(limit):
         raise ResourceError(
             f"prime sieve of {limit + 1} entries exceeds budget {DEFAULT_SPF_BUDGET}"
         )
-    comp = np.ones(limit + 1, dtype=bool)
-    comp[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if comp[p]:
-            comp[p * p :: p] = False
-    return PrimeList(np.flatnonzero(comp).astype(np.int64), limit)
+    # odd numbers only: odd[i] stands for 2*i + 1
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    odd[0] = False
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = np.flatnonzero(odd) * 2 + 1
+    return PrimeList(np.concatenate(([2], primes), dtype=np.int64), limit)
 
 
 def mertens_product(y, primes):

@@ -16,6 +16,7 @@ numpy slice.  All theta comparisons are exact integer arithmetic (rational
 t included), never floating point, so boundary ties cannot be misclassified.
 """
 
+import itertools
 import math
 from array import array
 from bisect import bisect_right
@@ -32,6 +33,7 @@ from .sieve import build_prime_list, build_spf_table, divisors_sorted
 ROUGH_LIMIT = 1 << 27
 SUBSET_SUM_LIMIT = 10**6
 CUSTOM_ENUM_LIMIT = 10**6
+_CHUNK = 1 << 16  # elements per tolist() chunk of a long float sum
 
 
 @dataclass(frozen=True)
@@ -304,7 +306,7 @@ def b_rows(rule, x):
     taus = np.concatenate([tu, np.repeat(2 * tu, lens)])
     sgs = np.concatenate([sg, np.repeat(sg, lens) * (p + 1)])
     thetas = _theta_floors(rule, x, ns, sgs)
-    order = np.argsort(ns, kind="stable")
+    order = np.argsort(ns)  # members are distinct, so any sort gives this order
     return ns[order], taus[order], thetas[order]
 
 
@@ -332,8 +334,11 @@ def rough_stats(x, y, budget=ROUGH_LIMIT):
     """Exact Phi(x,y), S(x,y), and the rough harmonic sum (n=1 included)."""
     rough = rough_members(x, y, budget)
     phi = len(rough)
-    s = int(np.searchsorted(rough, x // rough, side="right").sum())
-    harm = math.fsum((1.0 / rough).tolist())
+    # hyperbola: pairs a*b <= x with a <= sqrt(x), twice, less both <= sqrt(x)
+    k = int(np.searchsorted(rough, isqrt(x), side="right"))
+    s = 2 * int(np.searchsorted(rough, x // rough[:k], side="right").sum()) - k * k
+    chunks = ((1.0 / rough[i : i + _CHUNK]).tolist() for i in range(0, phi, _CHUNK))
+    harm = math.fsum(itertools.chain.from_iterable(chunks))
     return SeqStats(x, phi, s, harm)
 
 
@@ -374,7 +379,7 @@ def write_b_stream(rule, x, fh, threads=1):
 def _bulk_tau(x):
     # hyperbola fill: each divisor pair (d, n/d) with d*d <= n adds 2,
     # perfect squares correct the double count
-    arr = np.zeros(x + 1, dtype=np.int64)
+    arr = np.zeros(x + 1, dtype=np.int32)
     for d in range(1, isqrt(x) + 1):
         arr[d * d :: d] += 2
         arr[d * d] -= 1
@@ -391,34 +396,28 @@ def verify_funceq(x, rule, table=None):
         raise RangeError(f"x must be >= 1, got {x}")
     if table is None or table.limit < x:
         table = build_spf_table(max(x, 2))
-    d = np.arange(1, x + 1, dtype=np.int64)
-    lhs_tau = int((x // d).sum())
-    lhs_count = x
+    # hyperbola: sum_{d<=x} x//d = 2 sum_{d<=sqrt(x)} x//d - isqrt(x)^2
+    root = isqrt(x)
+    lhs_tau = 2 * int((x // np.arange(1, root + 1, dtype=np.int64)).sum()) - root * root
 
+    ns, taus, tfs = b_rows(rule, x)
+    rhs_tau = int(taus.sum())
+    rhs_count = len(ns)
+    # only rows with theta(n) < x//n can have an inner sum (theta >= 2 always)
+    zs = x // ns
+    inner = tfs < zs
     tau_arr = _bulk_tau(x)
-    spf = table.spf[: x + 1].astype(np.int64)
-
-    rhs_tau = 0
-    rhs_count = 0
-    for n, tu, tf in zip(*b_rows(rule, x)):
-        n = int(n)
-        tu = int(tu)
-        z = x // n
-        w = int(tf)
-        if z >= 2 and w < z:
-            sel = spf[2 : z + 1] > w
-            inner_t = int(tau_arr[2 : z + 1][sel].sum())
-            inner_c = int(sel.sum())
-        else:
-            inner_t = inner_c = 0
-        rhs_tau += tu * (1 + inner_t)
-        rhs_count += 1 + inner_c
+    spf = table.spf
+    for z, w, tu in zip(*(a[inner].tolist() for a in (zs, tfs, taus))):
+        sel = spf[2 : z + 1] > w
+        rhs_tau += tu * int(tau_arr[2 : z + 1][sel].sum(dtype=np.int64))
+        rhs_count += int(np.count_nonzero(sel))
     return {
         "x": x,
         "theta": rule.name,
-        "count_lhs": lhs_count,
+        "count_lhs": x,
         "count_rhs": rhs_count,
         "tau_lhs": lhs_tau,
         "tau_rhs": rhs_tau,
-        "exact": lhs_count == rhs_count and lhs_tau == rhs_tau,
+        "exact": x == rhs_count and lhs_tau == rhs_tau,
     }

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from divmean import report, theta
 from divmean.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -158,6 +159,36 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[-1] == "PASS"
         assert "negative_terms = 0" in out
+
+    @pytest.mark.parametrize("bx", ["0", "-5"])
+    def test_ctheta_nonpositive_count_x_is_usage_error(self, bx, capsys):
+        code, out, err = run(["verify", "ctheta", "--n", "1000", "--count-x", bx], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: cutoffs must be positive integers"]
+
+    def test_series_ladder_walks_once(self, capsys, monkeypatch):
+        # three cutoffs share one walk; primes are sieved once for the chain
+        # and once up to the largest theta
+        calls = {"b_rows": 0, "build_prime_list": 0}
+
+        def counted(mod, name):
+            fn = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapper)
+
+        counted(report, "b_rows")
+        counted(report, "build_prime_list")
+        counted(theta, "build_prime_list")
+        monkeypatch.setattr(report, "_PLIST", None)
+        code, out, _ = run(["verify", "L", "--theta", "practical", "--n", "100000"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 5
+        assert calls == {"b_rows": 1, "build_prime_list": 2}
 
     def test_series_sieve_over_budget(self, capsys):
         # theta(2) = 2e8 needs a prime sieve above the budget; refused before allocating

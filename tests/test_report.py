@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from divmean import report as R
 from divmean.errors import ConfigError, RangeError
 from divmean.funcs import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, get_bundle
-from divmean.theta import ThetaRule, _bulk_tau
+from divmean.sieve import build_prime_list
+from divmean.theta import ThetaRule, _bulk_tau, b_rows
 
 
 class TestEstimates:
@@ -159,6 +160,21 @@ class TestLPartial:
         assert R.L_partial(ThetaRule.dense(2), 10**5) == pytest.approx(
             0.6362052924951118, rel=1e-9
         )
+
+    @pytest.mark.parametrize("rule", [ThetaRule.practical(), ThetaRule.dense(2)])
+    def test_multi_equals_each_cutoff_bitwise(self, rule, monkeypatch):
+        cuts = [10, 100, 10**3, 10**4, 10**5, 10**6]
+        want = []
+        for n in cuts:
+            # each cutoff on its own walk and a prime list sized for it
+            ns, taus, tf = b_rows(rule, n)
+            m = build_prime_list(max(2, int(tf.max()))).mertens_many(tf)
+            want.append(math.fsum((taus / ns.astype(np.float64) * m * m).tolist()))
+            monkeypatch.setattr(R, "_PLIST", None)
+            assert R.L_partial(rule, n) == want[-1]
+        monkeypatch.setattr(R, "_PLIST", None)
+        assert R.L_partial_multi(rule, cuts) == want
+        assert R.L_partial_multi(rule, cuts[::-1]) == want[::-1]
 
 
 class TestCTheta:

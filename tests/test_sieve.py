@@ -180,3 +180,39 @@ def test_prime_list_vs_spf(spf_1e5):
     assert pl.verify_against(spf_1e5)
     assert pl.primes[0] == 2
     assert np.all(np.diff(pl.primes) > 0)
+
+
+def _plain_sieve(limit):
+    comp = np.ones(limit + 1, dtype=bool)
+    comp[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if comp[p]:
+            comp[p * p :: p] = False
+    return np.flatnonzero(comp)
+
+
+def test_odd_sieve_matches_plain_sieve():
+    ref = _plain_sieve(10**6)
+    limits = list(range(2, 3001))
+    for p in ref[ref <= 1000].tolist():
+        limits += [p * p - 1, p * p, p * p + 1]
+    for limit in limits:
+        got = build_prime_list(limit)
+        want = ref[: np.searchsorted(ref, limit, side="right")]
+        assert got.primes.dtype == np.int64
+        assert np.array_equal(got.primes, want), limit
+
+
+def test_sorted_pi_lookup_matches_unsorted(primes_1e5, rng):
+    primes = primes_1e5.primes
+    # keys that repeat, fall exactly on primes or next to them, in random order
+    keys = np.concatenate(
+        [primes[:50], primes[-50:], primes[:50] - 1, primes[:50] + 1, [0, 1, 2, 2, 3, 99999]]
+    )
+    keys = np.concatenate([keys, keys[::3], rng.integers(0, 10**5, 500)])
+    rng.shuffle(keys)
+    for ys in (keys, keys.astype(np.float64) + 0.5, keys[:0], keys[:600].reshape(20, 30), 97.0):
+        want = np.searchsorted(primes, np.floor(ys).astype(np.int64), side="right")
+        got = primes_1e5._pi_many(ys)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)

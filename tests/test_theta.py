@@ -16,6 +16,7 @@ from divmean.sieve import build_prime_list, build_spf_table, sigma, tau
 from divmean.theta import (
     SeqStats,
     ThetaRule,
+    _bulk_tau,
     _chain,
     _parents,
     _primes_for_rule,
@@ -199,6 +200,22 @@ class TestRoughStats:
         with pytest.raises(RangeError):
             rough_stats(10**6, 5, budget=10**5)
 
+    def test_hyperbola_pair_count_against_direct_search(self, monkeypatch):
+        # S(x, y) by the hyperbola method against sum_a Phi(x/a) over every a;
+        # perfect squares and y on both sides of sqrt(x) included.  A short
+        # chunk makes the harmonic sum cross chunk boundaries.
+        monkeypatch.setattr("divmean.theta._CHUNK", 7)
+        xs = list(range(1, 200)) + [k * k + e for k in (15, 31, 50, 99, 100) for e in (-1, 0, 1)]
+        xs += [5000, 10**4]
+        for x in xs:
+            r = math.isqrt(x)
+            for y in (2, 3, 7.5, 11, max(2, r - 1), max(2, r), r + 1, 2 * r + 3):
+                rough = rough_members(x, y)
+                direct = int(np.searchsorted(rough, x // rough, side="right").sum())
+                st_ = rough_stats(x, y)
+                assert st_.tau_sum == direct, (x, y)
+                assert st_.harmonic == math.fsum((1.0 / rough).tolist()), (x, y)
+
     def test_pair_count_against_direct_loop(self):
         # S counts pairs (a, b) of y-rough numbers with a*b <= x
         x, y = 2000, 11
@@ -305,6 +322,48 @@ class TestCountingIdentity:
         # count equality at 1e6 pins the split map as a bijection there
         res = verify_funceq(10**6, ThetaRule.practical(), spf_1e6)
         assert res["exact"]
+
+    @pytest.mark.parametrize("x", [1, 2, 10, 1000, 10**5])
+    @pytest.mark.parametrize(
+        "rule",
+        [ThetaRule.practical(), *(ThetaRule.dense(t) for t in (2, "5/2", 100))],
+        ids=lambda r: r.name,
+    )
+    def test_matches_reference_loop(self, x, rule, spf_1e6):
+        assert verify_funceq(x, rule, spf_1e6) == _reference_funceq(x, rule, spf_1e6)
+        assert verify_funceq(x, rule) == _reference_funceq(x, rule, spf_1e6)
+
+
+def _reference_funceq(x, rule, table):
+    """verify_funceq as a plain loop over every row of B(x), with an x-long LHS."""
+    d = np.arange(1, x + 1, dtype=np.int64)
+    lhs_tau = int((x // d).sum())
+    tau_arr = _bulk_tau(x).astype(np.int64)
+    spf = table.spf[: x + 1].astype(np.int64)
+    rhs_tau = 0
+    rhs_count = 0
+    for n, tu, tf in zip(*b_rows(rule, x)):
+        n = int(n)
+        tu = int(tu)
+        z = x // n
+        w = int(tf)
+        if z >= 2 and w < z:
+            sel = spf[2 : z + 1] > w
+            inner_t = int(tau_arr[2 : z + 1][sel].sum())
+            inner_c = int(sel.sum())
+        else:
+            inner_t = inner_c = 0
+        rhs_tau += tu * (1 + inner_t)
+        rhs_count += 1 + inner_c
+    return {
+        "x": x,
+        "theta": rule.name,
+        "count_lhs": x,
+        "count_rhs": rhs_count,
+        "tau_lhs": lhs_tau,
+        "tau_rhs": rhs_tau,
+        "exact": x == rhs_count and lhs_tau == rhs_tau,
+    }
 
 
 class TestCustomRules:
