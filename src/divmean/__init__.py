@@ -17,7 +17,6 @@ from .sieve import (
     build_prime_list,
     build_spf_table,
     divisors_sorted,
-    mertens_product,
     sigma,
     tau,
 )

@@ -1,31 +1,9 @@
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "DIVMEAN_THREADS"
-
-
-def default_threads():
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def pmap_ordered(fn, items, threads=1):
-    """Map fn over items, preserving input order in the result.
-
-    Work may run on a thread pool but the returned list is always
-    [fn(items[0]), fn(items[1]), ...] so downstream output is
-    byte-identical regardless of thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+    """Serial [fn(it) for it in items]; no caller in divmean, kept for perfbench/traced.py."""
+    return [fn(it) for it in items]
 
 
 def write_lines(fh, values):

@@ -10,7 +10,7 @@ import math
 import sys
 from fractions import Fraction
 
-from ._util import default_threads, fmt15, progress, write_lines
+from ._util import fmt15, progress, write_lines
 from .constants import (
     constants_document,
     document_to_json,
@@ -134,7 +134,7 @@ def _cmd_enumerate(args):
             progress(f"enumerated {count} rough members")
         else:
             rule = _theta_rule(args.kind, args.t)
-            count = write_b_stream(rule, args.x, fh, threads=args.threads)
+            count = write_b_stream(rule, args.x, fh)
             progress(f"enumerated {count} chain members")
     finally:
         if args.out:
@@ -275,8 +275,8 @@ def _parser():
     pe.add_argument(
         "--threads",
         type=int,
-        default=default_threads(),
-        help="worker threads (default from DIVMEAN_THREADS, else 1)",
+        default=1,
+        help="accepted and ignored; the walk runs on one thread",
     )
     _add_out(pe)
     pe.set_defaults(fn=_cmd_enumerate)

@@ -22,17 +22,12 @@ from .theta import ThetaRule, b_rows, chain_stats_multi, dense_stats, rough_stat
 
 DEFAULT_SLACK = 5.0
 
-_PLIST = None
 _GROWTH_CONSTANTS = None
 
 
-def _plist_for(limit):
-    # one growing cache; report-scale runs hit many cutoffs under the max
-    global _PLIST
-    limit = max(2, int(math.ceil(limit)))  # fractional y needs primes up to ceil(y)
-    if _PLIST is None or _PLIST.limit < limit:
-        _PLIST = build_prime_list(limit)
-    return _PLIST
+def _mertens(y):
+    """prod_{p<=y}(1-1/p); a fractional y needs primes up to ceil(y)."""
+    return build_prime_list(max(2, math.ceil(y))).mertens(y)
 
 
 def growth_constants():
@@ -139,7 +134,7 @@ def estimate_phi(x, y):
     b = get_bundle()
     ly = math.log(y)
     u = math.log(x) / ly
-    pi_y = _plist_for(y).mertens(y)
+    pi_y = _mertens(y)
     corr = y / x if x >= y else 0.0
     return 1.0 + x * pi_y + (x / ly) * (b.buchstab(u) - EXP_NEG_GAMMA - corr)
 
@@ -150,7 +145,7 @@ def estimate_S(x, y):
     b = get_bundle()
     ly = math.log(y)
     u = math.log(x) / ly
-    pi_y = _plist_for(y).mertens(y)
+    pi_y = _mertens(y)
     corr = 2.0 * y / x if x >= y else 0.0
     main = x * math.log(x) * pi_y * pi_y
     return 1.0 + main + (x / ly) * (b.ratio(u) - u * EXP_NEG_2GAMMA - corr)
@@ -161,7 +156,7 @@ def estimate_harmonic(x, y):
     _check_xy(x, y)
     b = get_bundle()
     u = math.log(x) / math.log(y)
-    pi_y = _plist_for(y).mertens(y)
+    pi_y = _mertens(y)
     return 1.0 + math.log(x) * pi_y + b.buchstab_defect_integral(u)
 
 
@@ -223,8 +218,10 @@ def L_partial_multi(rule, cutoffs):
     The one exception is a custom rule with an infinite theta, whose Mertens
     product is then taken up to the largest cutoff rather than to N.
     """
+    if not cutoffs or min(cutoffs) < 1:
+        raise RangeError("cutoffs must be positive integers")
     ns, taus, tf = b_rows(rule, max(cutoffs))
-    m = _plist_for(tf.max()).mertens_many(tf)
+    m = build_prime_list(max(2, int(tf.max()))).mertens_many(tf)
     terms = (taus.astype(np.float64) / ns.astype(np.float64) * m * m).tolist()
     return [math.fsum(terms[: np.searchsorted(ns, N, "right")]) for N in cutoffs]
 
@@ -242,7 +239,7 @@ def c_theta_breakdown(rule, N):
     """
     ns, taus, tf = b_rows(rule, N)
     del taus
-    pl = _plist_for(tf.max())
+    pl = build_prime_list(max(2, int(tf.max())))
     nf = ns.astype(np.float64)
     terms = (pl.logp_pm1_many(tf) - np.log(nf)) * pl.mertens_many(tf) / nf
     value = float(math.fsum(terms.tolist())) / (1.0 - EXP_NEG_GAMMA)

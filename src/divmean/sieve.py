@@ -186,6 +186,21 @@ def _prefix_longdouble(terms):
     return cum
 
 
+def odd_sieve(limit, bound):
+    """Bool mask over the odd numbers: entry i stands for 2*i + 1 <= limit.
+
+    Each odd prime p <= bound strikes its odd multiples from p*p on, so what
+    survives is 1, the odd primes, and the odd numbers with no prime factor
+    <= bound.
+    """
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (bound + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    return odd
+
+
 def build_prime_list(limit):
     if limit < 2:
         raise RangeError(f"limit must be >= 2, got {limit}")
@@ -193,17 +208,7 @@ def build_prime_list(limit):
         raise ResourceError(
             f"prime sieve of {limit + 1} entries exceeds budget {DEFAULT_SPF_BUDGET}"
         )
-    # odd numbers only: odd[i] stands for 2*i + 1
-    odd = np.ones((limit + 1) // 2, dtype=bool)
+    odd = odd_sieve(limit, isqrt(limit))
     odd[0] = False
-    for i in range(1, (isqrt(limit) + 1) // 2):
-        if odd[i]:
-            p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
     primes = np.flatnonzero(odd) * 2 + 1
     return PrimeList(np.concatenate(([2], primes), dtype=np.int64), limit)
-
-
-def mertens_product(y, primes):
-    """prod_{p<=y}(1-1/p) over a PrimeList; empty product is 1."""
-    return primes.mertens(y)

@@ -26,9 +26,9 @@ from math import isqrt
 
 import numpy as np
 
-from ._util import pmap_ordered, write_lines
+from ._util import write_lines
 from .errors import ConfigError, RangeError, ResourceError
-from .sieve import build_prime_list, build_spf_table, divisors_sorted
+from .sieve import build_prime_list, build_spf_table, divisors_sorted, odd_sieve
 
 ROUGH_LIMIT = 1 << 27
 SUBSET_SUM_LIMIT = 10**6
@@ -114,19 +114,7 @@ def _pplus_trial(n):
 
 
 def is_in_B(n, rule, table):
-    table.check_range(n)
-    if n == 1:
-        return True
-    prefix = 1
-    sg = 1
-    for p, a in table.factorize(n):
-        cap = rule.theta_floor(prefix, sg)
-        if cap is not None and p > cap:
-            return False
-        pk = p**a
-        prefix *= pk
-        sg *= (pk * p - 1) // (p - 1)
-    return True
+    return factor_nr(n, rule, table)[1] == 1
 
 
 def is_t_dense_by_divisors(n, t, table):
@@ -159,8 +147,11 @@ def _primes_for_rule(rule, x):
     if rule.kind == "dense":
         cap = isqrt((x * rule.t_num) // rule.t_den) + 1
     elif rule.kind == "practical":
-        # caps are min(sigma(n)+1, x/n) <= sqrt((sigma(n)+1) x/n); sigma(n)/n < 5.5
-        # below 1e9, so p^2 < 6.5x.  _parents raises if a cap ever outruns it.
+        # caps are min(sigma(n)+1, x/n) <= sqrt((sigma(n)+1) x/n).  Robin (1984):
+        # sigma(n)/n < e^gamma log log n + 0.6483/log log n for n >= 3, which is
+        # below 6.991 for 4 <= n <= 1e20 (and sigma(n)/n <= 3/2 for n < 4).  So
+        # (sigma(n)+1)/n < 7 and p^2 < 7x for every x <= 1e20.  _parents raises
+        # if a cap ever outruns the list.
         cap = isqrt(7 * x) + 1
     else:
         if x > CUSTOM_ENUM_LIMIT:
@@ -171,7 +162,7 @@ def _primes_for_rule(rule, x):
     return build_prime_list(cap)
 
 
-def _parents(rule, x, plist, limit, stack, spill=None):
+def _parents(rule, x, plist, limit, stack):
     """Walk the parents on stack; five int64s (n, sigma(n), tau(n), lo, hi) each.
 
     plist holds every prime <= limit.  A stack entry (n, sigma(n), tau(n), i0)
@@ -179,28 +170,17 @@ def _parents(rule, x, plist, limit, stack, spill=None):
     A child n*p with p > isqrt(x//n) is a leaf: n*p*p > x, and any further
     prime would exceed p.  So the leaves of n are n*p for p in plist[lo:hi],
     each with tau = 2*tau(n), and they are never pushed.  Smaller primes give
-    the children n*p^a, pushed onto the stack, or onto spill when it is given
-    (the caller walks them).
+    the children n*p^a, pushed onto the stack.
     """
-    kind = rule.kind
-    tnum, tden = rule.t_num, rule.t_den
-    tmap = rule.table
+    theta = rule.theta_floor
     pop = stack.pop
-    push = (stack if spill is None else spill).append
+    push = stack.append
     out = array("q")
     while stack:
         n, sg, tu, i0 = pop()
         lim = x // n
-        if kind == "practical":
-            cap = sg + 1
-        elif kind == "dense":
-            cap = (n * tnum) // tden
-        else:
-            th = tmap.get(n)
-            if th is None:
-                raise ConfigError(f"custom theta map has no value for n={n}")
-            cap = lim if th == math.inf else math.floor(th)
-        if cap > lim:
+        cap = theta(n, sg)
+        if cap is None or cap > lim:
             cap = lim
         if cap > limit:
             raise RangeError(f"chain cap {cap} at n={n} beyond prime list limit {limit}")
@@ -220,28 +200,12 @@ def _parents(rule, x, plist, limit, stack, spill=None):
     return out
 
 
-def _chain(rule, x, threads=None):
-    """Parent records of B(x) as an int64 array, and the prime array they index.
-
-    Without a thread count the walk runs on one stack.  generate_B passes one:
-    the root is walked alone and the prime-power subtrees it spills go through
-    pmap_ordered, so its serial and threaded runs share one path.
-    """
+def _chain(rule, x):
+    """Parent records of B(x) as an int64 array, and the prime array they index."""
     if x < 1:
         raise RangeError(f"x must be >= 1, got {x}")
     primes = _primes_for_rule(rule, x)
-    plist = primes.primes.tolist()
-    if threads is None:
-        recs = _parents(rule, x, plist, primes.limit, [(1, 1, 1, 0)])
-    else:
-        seeds = []
-        recs = _parents(rule, x, plist, primes.limit, [(1, 1, 1, 0)], seeds)
-
-        def walk(seed):
-            return _parents(rule, x, plist, primes.limit, [seed])
-
-        for part in pmap_ordered(walk, seeds, threads):
-            recs.extend(part)
+    recs = _parents(rule, x, primes.primes.tolist(), primes.limit, [(1, 1, 1, 0)])
     return np.frombuffer(recs, dtype=np.int64).reshape(-1, 5), primes.primes
 
 
@@ -281,9 +245,9 @@ def _tally(rule, cuts):
     return out
 
 
-def generate_B(rule, x, threads=1):
-    """Sorted array of B(x).  The root's subtrees may be walked on threads."""
-    recs, parr = _chain(rule, x, threads)
+def generate_B(rule, x):
+    """Sorted array of B(x)."""
+    recs, parr = _chain(rule, x)
     lens, p = _leaves(recs, parr)
     ns = recs[:, 0]
     return np.sort(np.concatenate([ns, np.repeat(ns, lens) * p]))
@@ -310,29 +274,25 @@ def b_rows(rule, x):
     return ns[order], taus[order], thetas[order]
 
 
-def rough_members(x, y, budget=ROUGH_LIMIT):
+def rough_members(x, y):
     """Ascending array of n <= x with no prime factor <= y (n=1 included)."""
     if x < 1:
         raise RangeError(f"x must be >= 1, got {x}")
     if y < 2:
         raise RangeError(f"y must be >= 2, got {y}")
-    if x > budget:
-        raise RangeError(f"x={x} above rough sieve limit {budget}")
+    if x > ROUGH_LIMIT:
+        raise RangeError(f"x={x} above rough sieve limit {ROUGH_LIMIT}")
     yf = min(math.floor(y), x)
-    root = isqrt(x)
-    mask = np.ones(x + 1, dtype=bool)
-    mask[0] = False
-    if min(yf, root) >= 2:
-        for p in build_prime_list(min(yf, root)).primes:
-            mask[p::p] = False
-    # what survives in (sqrt(x), y] is prime, hence not y-rough
-    mask[root + 1 : yf + 1] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    # y >= 2 rules out every even n; the odd survivors of the primes up to
+    # min(y, sqrt(x)) are 1, the odd primes and the y-rough composites
+    odd = odd_sieve(x, min(yf, isqrt(x)))
+    odd[1 : (yf + 1) // 2] = False  # 3, 5, ..., y: each has a factor <= y
+    return np.flatnonzero(odd) * 2 + 1
 
 
-def rough_stats(x, y, budget=ROUGH_LIMIT):
+def rough_stats(x, y):
     """Exact Phi(x,y), S(x,y), and the rough harmonic sum (n=1 included)."""
-    rough = rough_members(x, y, budget)
+    rough = rough_members(x, y)
     phi = len(rough)
     # hyperbola: pairs a*b <= x with a <= sqrt(x), twice, less both <= sqrt(x)
     k = int(np.searchsorted(rough, isqrt(x), side="right"))
@@ -372,8 +332,8 @@ def factor_nr(m, rule, table):
 
 
 def write_b_stream(rule, x, fh, threads=1):
-    """One decimal integer per line, ascending; returns the member count."""
-    return write_lines(fh, generate_B(rule, x, threads=threads))
+    """One decimal integer per line, ascending; returns the count (threads is ignored)."""
+    return write_lines(fh, generate_B(rule, x))
 
 
 def _bulk_tau(x):

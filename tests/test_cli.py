@@ -34,7 +34,7 @@ class TestHelp:
         _, out, _ = run(["fn", "--help"], capsys)
         assert "default 0.25" in out
         _, out, _ = run(["enumerate", "--help"], capsys)
-        assert "DIVMEAN_THREADS" in out
+        assert "--threads" in out and "ignored" in out
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(["fn", "xi", "--bogus"], capsys)
@@ -184,11 +184,17 @@ class TestVerify:
         counted(report, "b_rows")
         counted(report, "build_prime_list")
         counted(theta, "build_prime_list")
-        monkeypatch.setattr(report, "_PLIST", None)
         code, out, _ = run(["verify", "L", "--theta", "practical", "--n", "100000"], capsys)
         assert code == 0
         assert len(out.splitlines()) == 5
         assert calls == {"b_rows": 1, "build_prime_list": 2}
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_series_nonpositive_n_is_usage_error(self, n, capsys):
+        code, out, err = run(["verify", "L", "--n", n], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: cutoffs must be positive integers\n"
 
     def test_series_sieve_over_budget(self, capsys):
         # theta(2) = 2e8 needs a prime sieve above the budget; refused before allocating

@@ -293,6 +293,14 @@ class TestLaziness:
         )
         assert out.strip() == "[]"
 
+    def test_cli_import_loads_no_thread_pool(self):
+        # the chain walk is serial; concurrent.futures cost ~6 ms per process
+        out = _fresh_python(
+            "import divmean.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))"
+        )
+        assert out.strip() == "[]"
+
     def test_commands_without_lambda_never_build_it(self):
         out = _fresh_python(
             "from divmean.constants import constants_document\n"

@@ -17,8 +17,7 @@ from divmean.theta import ThetaRule, _bulk_tau, b_rows
 
 class TestEstimates:
     def test_fractional_y_covers_ceil(self):
-        # regression: the prime cache must reach ceil(y), not floor(y)
-        R._PLIST = None
+        # regression: the prime list must reach ceil(y), not floor(y)
         assert R.estimate_phi(10**4, 21.544346900318832) > 0
 
     def test_degenerate_sieve_formula(self):
@@ -26,7 +25,7 @@ class TestEstimates:
         # correction applies, so the estimate is the bare main terms
         x, y = 50, 97
         u = math.log(x) / math.log(y)
-        pi_y = R._plist_for(y).mertens(y)
+        pi_y = build_prime_list(y).mertens(y)
         want = (
             1.0
             + x * math.log(x) * pi_y**2
@@ -162,7 +161,7 @@ class TestLPartial:
         )
 
     @pytest.mark.parametrize("rule", [ThetaRule.practical(), ThetaRule.dense(2)])
-    def test_multi_equals_each_cutoff_bitwise(self, rule, monkeypatch):
+    def test_multi_equals_each_cutoff_bitwise(self, rule):
         cuts = [10, 100, 10**3, 10**4, 10**5, 10**6]
         want = []
         for n in cuts:
@@ -170,9 +169,7 @@ class TestLPartial:
             ns, taus, tf = b_rows(rule, n)
             m = build_prime_list(max(2, int(tf.max()))).mertens_many(tf)
             want.append(math.fsum((taus / ns.astype(np.float64) * m * m).tolist()))
-            monkeypatch.setattr(R, "_PLIST", None)
             assert R.L_partial(rule, n) == want[-1]
-        monkeypatch.setattr(R, "_PLIST", None)
         assert R.L_partial_multi(rule, cuts) == want
         assert R.L_partial_multi(rule, cuts[::-1]) == want[::-1]
 

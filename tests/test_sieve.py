@@ -11,7 +11,6 @@ from divmean import (
     build_prime_list,
     build_spf_table,
     divisors_sorted,
-    mertens_product,
     sigma,
     tau,
 )
@@ -141,23 +140,23 @@ def _shared_table():
 
 
 def test_mertens_examples(primes_1e5):
-    assert mertens_product(1, primes_1e5) == 1.0
-    assert mertens_product(2, primes_1e5) == 0.5
-    assert abs(mertens_product(10, primes_1e5) - 8 / 35) < 1e-14
-    assert abs(mertens_product(10.9, primes_1e5) - 8 / 35) < 1e-14
+    assert primes_1e5.mertens(1) == 1.0
+    assert primes_1e5.mertens(2) == 0.5
+    assert abs(primes_1e5.mertens(10) - 8 / 35) < 1e-14
+    assert abs(primes_1e5.mertens(10.9) - 8 / 35) < 1e-14
 
 
 def test_mertens_range(primes_1e5):
     with pytest.raises(RangeError):
-        mertens_product(-1, primes_1e5)
+        primes_1e5.mertens(-1)
     with pytest.raises(RangeError):
-        mertens_product(10**5 + 1, primes_1e5)
+        primes_1e5.mertens(10**5 + 1)
 
 
 def test_mertens_envelope(primes_1e5):
     # product * log y should track e^-gamma within a generous 3/log y band
     for y in (10**3, 10**4, 10**5):
-        got = mertens_product(y, primes_1e5) * math.log(y)
+        got = primes_1e5.mertens(y) * math.log(y)
         band = 3 / math.log(y)
         assert E_GAMMA * (1 - band) <= got <= E_GAMMA * (1 + band), y
 

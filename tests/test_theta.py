@@ -115,11 +115,6 @@ class TestGenerate:
             want = {n for n in range(1, 5001) if is_in_B(n, rule, spf_1e5)}
             assert got == want
 
-    def test_thread_split_identical(self):
-        base = generate_B(ThetaRule.practical(), 10**4, threads=1)
-        for k in (2, 4):
-            assert np.array_equal(base, generate_B(ThetaRule.practical(), 10**4, threads=k))
-
     def test_sigma_tau_carried_exactly(self, spf_1e5):
         recs, _ = _chain(ThetaRule.practical(), 3000)
         for n, sg, tu, _lo, _hi in recs.tolist():
@@ -182,6 +177,12 @@ class TestRoughStats:
             for y in (2, 2.5, 3, 7, 9.9, 10, 11, 31, 32, 100, 1000, 5000):
                 want = [1] + [n for n in range(2, x + 1) if spf_1e5.smallest_prime_factor(n) > y]
                 assert rough_members(x, y).tolist() == want, (x, y)
+        # the odd sieve at full fixture width, y on both sides of sqrt(x)
+        for x in (99_999, 100_000):
+            r = math.isqrt(x)
+            for y in (2, 3, r - 1, r, r + 1, 1000.5, x):
+                want = [1] + (np.flatnonzero(spf_1e5.spf[2 : x + 1] > y) + 2).tolist()
+                assert rough_members(x, y).tolist() == want, (x, y)
 
     def test_sieves_only_to_sqrt_x(self, monkeypatch):
         # with y >= x the old sieve built a prime list to x; at x = ROUGH_LIMIT
@@ -192,13 +193,14 @@ class TestRoughStats:
         assert rough_members(1000, 1000).tolist() == [1]
         assert rough_stats(1000, 500).count == 1 + 168 - 95
 
-    def test_domain_errors(self):
+    def test_domain_errors(self, monkeypatch):
         with pytest.raises(RangeError):
             rough_stats(0, 5)
         with pytest.raises(RangeError):
             rough_stats(10, 1.5)
+        monkeypatch.setattr("divmean.theta.ROUGH_LIMIT", 10**5)
         with pytest.raises(RangeError):
-            rough_stats(10**6, 5, budget=10**5)
+            rough_stats(10**6, 5)
 
     def test_hyperbola_pair_count_against_direct_search(self, monkeypatch):
         # S(x, y) by the hyperbola method against sum_a Phi(x/a) over every a;
@@ -502,7 +504,6 @@ class TestEngineMatchesReferenceWalk:
             assert arr.dtype == np.int64
             assert np.array_equal(arr, want)
         assert np.array_equal(generate_B(rule, x), ns)
-        assert np.array_equal(generate_B(rule, x, threads=2), ns)
 
         if rule.kind == "practical":
             single = practical_stats(x)
