@@ -36,11 +36,11 @@ from .theta import (
     ThetaRule,
     chain_stats_multi,
     dense_stats,
+    generate_B,
     practical_stats,
     rough_members,
     rough_stats,
     verify_funceq,
-    write_b_stream,
 )
 
 
@@ -120,25 +120,20 @@ def _cmd_fn(args):
     return 0
 
 
-def _stream_out(path):
-    return open(path, "w") if path else sys.stdout
-
-
 def _cmd_enumerate(args):
-    fh = _stream_out(args.out)
-    try:
-        if args.kind == "rough":
-            if args.y is None:
-                raise DivmeanError("rough enumeration needs --y")
-            count = write_lines(fh, rough_members(args.x, args.y))
-            progress(f"enumerated {count} rough members")
-        else:
-            rule = _theta_rule(args.kind, args.t)
-            count = write_b_stream(rule, args.x, fh)
-            progress(f"enumerated {count} chain members")
-    finally:
-        if args.out:
-            fh.close()
+    # members first: a rejected request leaves --out untouched
+    if args.kind == "rough":
+        if args.y is None:
+            raise DivmeanError("rough enumeration needs --y")
+        members, what = rough_members(args.x, args.y), "rough"
+    else:
+        members, what = generate_B(_theta_rule(args.kind, args.t), args.x), "chain"
+    if args.out:
+        with open(args.out, "w") as fh:
+            write_lines(fh, members)
+    else:
+        write_lines(sys.stdout, members)
+    progress(f"enumerated {len(members)} {what} members")
     return 0
 
 
@@ -257,9 +252,9 @@ def _parser():
 
     pf = sub.add_parser("fn", help="tabulate a special function as CSV")
     pf.add_argument("kind", choices=["omega", "xi", "lambda"])
-    pf.add_argument("--from", dest="lo", type=float, default=0.0, help="grid start (default 0)")
-    pf.add_argument("--to", dest="hi", type=float, default=10.0, help="grid end (default 10)")
-    pf.add_argument("--step", type=float, default=0.25, help="grid step (default 0.25)")
+    pf.add_argument("--from", dest="lo", type=_finite_float, default=0.0, help="grid start (default 0)")
+    pf.add_argument("--to", dest="hi", type=_finite_float, default=10.0, help="grid end (default 10)")
+    pf.add_argument("--step", type=_finite_float, default=0.25, help="grid step (default 0.25)")
     _add_out(pf)
     pf.set_defaults(fn=_cmd_fn)
 
@@ -327,9 +322,9 @@ def _parser():
 
     pg = sub.add_parser("figures", help="figure-ready CSV data")
     pg.add_argument("kind", choices=["fig1", "fig2"])
-    pg.add_argument("--from", dest="lo", type=float, default=None, help="grid start")
-    pg.add_argument("--to", dest="hi", type=float, default=None, help="grid end")
-    pg.add_argument("--step", type=float, default=None, help="grid step")
+    pg.add_argument("--from", dest="lo", type=_finite_float, default=None, help="grid start")
+    pg.add_argument("--to", dest="hi", type=_finite_float, default=None, help="grid end")
+    pg.add_argument("--step", type=_finite_float, default=None, help="grid step")
     _add_out(pg)
     pg.set_defaults(fn=_cmd_figures)
 

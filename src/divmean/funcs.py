@@ -64,7 +64,6 @@ class PiecewiseFn:
     """Closed forms on low blocks, marched grid above, optional tail."""
 
     name: str
-    support_lo: float
     exact_pieces: list  # (lo, hi, vectorized fn) on [lo, hi)
     exact_hi: float
     grid_start: float
@@ -73,7 +72,6 @@ class PiecewiseFn:
     grid_values: np.ndarray
     tail_fn: object  # vectorized fn above grid_end, or None
     err_budget: float  # None where no budget is declared
-    flagged_points: tuple = ()
 
     @property
     def grid_end(self):
@@ -117,8 +115,8 @@ def _panel_value(f, p, block, h):
     return h * (w[0] * f[i0] + w[1] * f[i0 + 1] + w[2] * f[i0 + 2] + w[3] * f[i0 + 3])
 
 
-def _march_delay(c0, c1, n_blocks, step_bits):
-    """March u*f(u) = c0 + c1*int_1^{u-1} f with f = c0/u on [1, 2].
+def _march_delay(c0, n_blocks, step_bits):
+    """March u*f(u) = c0 + c0*int_1^{u-1} f with f = c0/u on [1, 2].
 
     Returns grid values of f and of the cumulative integral from 1.
     The march needs the cumulative value one full block back, while a
@@ -135,12 +133,12 @@ def _march_delay(c0, c1, n_blocks, step_bits):
         f[k] = c0 / u[k]
         icum[k] = c0 * math.log(u[k])
     for k in range(block + 1, 2 * block + 1):
-        f[k] = (c0 + c1 * c0 * math.log(u[k] - 1.0)) / u[k]
+        f[k] = (c0 + c0 * c0 * math.log(u[k] - 1.0)) / u[k]
     for p in range(block, 2 * block):
         icum[p + 1] = icum[p] + _panel_value(f, p, block, h)
     next_p = 2 * block
     for k in range(2 * block + 1, n + 1):
-        f[k] = (c0 + c1 * icum[k - block]) / u[k]
+        f[k] = (c0 + c0 * icum[k - block]) / u[k]
         while next_p < n:
             r = next_p % block
             need = next_p + 3 if r == 0 else (next_p + 1 if r == block - 1 else next_p + 2)
@@ -151,72 +149,64 @@ def _march_delay(c0, c1, n_blocks, step_bits):
     return np.array(f), np.array(icum)
 
 
-def _cumulative_fn(name, icum, tail_fn):
-    """int_1^u of a marched function: zero below 1, its grid, then tail_fn."""
-    return PiecewiseFn(
+def _delay_tables(name, c0, n_blocks, tail_fn, cum_tail, err_budget):
+    """f with u*f(u) = c0 + c0*int_1^{u-1} f, and int_1^u f, as PiecewiseFns.
+
+    f is c0/u on [1, 2] and closed-form on [2, 3], marched above, tail_fn
+    past the grid; the integral is zero below 1 and top + cum_tail(u, end)
+    past the grid end, where it reaches top.
+    """
+    vals, icum = _march_delay(c0, n_blocks, OMEGA_STEP_BITS)
+    grid = {
+        "grid_start": 1.0,
+        "grid_step": 2.0**-OMEGA_STEP_BITS,
+        "grid_block": 1 << OMEGA_STEP_BITS,
+    }
+    fn = PiecewiseFn(
         name=name,
-        support_lo=1.0,
+        exact_pieces=[
+            (1.0, 2.0, lambda x: c0 / x),
+            (2.0, 3.0, lambda x: (c0 + c0 * c0 * np.log(x - 1.0)) / x),
+        ],
+        exact_hi=3.0,
+        grid_values=vals,
+        tail_fn=tail_fn,
+        err_budget=err_budget,
+        **grid,
+    )
+    end, top = fn.grid_end, icum[-1]
+    cum = PiecewiseFn(
+        name=f"{name}_integral",
         exact_pieces=[],
         exact_hi=1.0,
-        grid_start=1.0,
-        grid_step=2.0**-OMEGA_STEP_BITS,
-        grid_block=1 << OMEGA_STEP_BITS,
         grid_values=icum,
-        tail_fn=tail_fn,
+        tail_fn=lambda x: top + cum_tail(x, end),
         err_budget=None,
+        **grid,
     )
+    return fn, cum
 
 
 def build_buchstab():
-    vals, icum = _march_delay(1.0, 1.0, OMEGA_BLOCKS, OMEGA_STEP_BITS)
-    block = 1 << OMEGA_STEP_BITS
-    fn = PiecewiseFn(
-        name="buchstab",
-        support_lo=1.0,
-        exact_pieces=[
-            (1.0, 2.0, lambda x: 1.0 / x),
-            (2.0, 3.0, lambda x: (1.0 + np.log(x - 1.0)) / x),
-        ],
-        exact_hi=3.0,
-        grid_start=1.0,
-        grid_step=2.0**-OMEGA_STEP_BITS,
-        grid_block=block,
-        grid_values=vals,
-        tail_fn=lambda x: np.full(np.shape(x), EXP_NEG_GAMMA),
-        err_budget=1e-9,
+    return _delay_tables(
+        "buchstab",
+        1.0,
+        OMEGA_BLOCKS,
+        lambda x: np.full(np.shape(x), EXP_NEG_GAMMA),
+        lambda x, end: (x - end) * EXP_NEG_GAMMA,
+        1e-9,
     )
-    end, top = fn.grid_end, icum[-1]
-    cum = _cumulative_fn(
-        "buchstab_integral", icum, lambda x: top + (x - end) * EXP_NEG_GAMMA
-    )
-    return fn, cum
 
 
 def build_ratio_fn():
-    vals, icum = _march_delay(2.0, 2.0, XI_BLOCKS, OMEGA_STEP_BITS)
-    block = 1 << OMEGA_STEP_BITS
-    fn = PiecewiseFn(
-        name="ratio_fn",
-        support_lo=1.0,
-        exact_pieces=[
-            (1.0, 2.0, lambda x: 2.0 / x),
-            (2.0, 3.0, lambda x: (4.0 * np.log(x - 1.0) + 2.0) / x),
-        ],
-        exact_hi=3.0,
-        grid_start=1.0,
-        grid_step=2.0**-OMEGA_STEP_BITS,
-        grid_block=block,
-        grid_values=vals,
-        tail_fn=lambda x: (x + 2.0) * EXP_NEG_2GAMMA,
-        err_budget=2e-9,
+    return _delay_tables(
+        "ratio_fn",
+        2.0,
+        XI_BLOCKS,
+        lambda x: (x + 2.0) * EXP_NEG_2GAMMA,
+        lambda x, end: EXP_NEG_2GAMMA * (0.5 * (x**2 - end**2) + 2.0 * (x - end)),
+        2e-9,
     )
-    end, top = fn.grid_end, icum[-1]
-    cum = _cumulative_fn(
-        "ratio_integral",
-        icum,
-        lambda x: top + EXP_NEG_2GAMMA * (0.5 * (x**2 - end**2) + 2.0 * (x - end)),
-    )
-    return fn, cum
 
 
 class DelayDerivative:
@@ -231,7 +221,6 @@ class DelayDerivative:
         self.ratio = ratio
         self.err_budget = 1e-8
         self.flagged_points = (1.0, 2.0)
-        self.support_lo = 1.0
 
     def eval_many(self, us):
         us = np.asarray(us, dtype=float)
@@ -382,7 +371,6 @@ def build_growth_fn(ratio):
 
     return PiecewiseFn(
         name="growth_fn",
-        support_lo=0.0,
         exact_pieces=[(0.0, 1.0, lambda x: x.copy())],
         exact_hi=1.0,
         grid_start=1.0,
@@ -458,27 +446,20 @@ class FnBundle:
     def growth(self):
         return build_growth_fn(self.ratio)
 
-    def buchstab_integral_from_one(self, us):
-        """int_1^u buchstab, extended past the grid by the constant tail."""
-        return self.buchstab_cum.eval_many(np.atleast_1d(us))
-
     def buchstab_defect_integral(self, u):
         """int_0^u (buchstab(s) - e^-gamma) ds; tends to e^-gamma - 1."""
         us = np.atleast_1d(np.asarray(u, dtype=float))
-        out = self.buchstab_integral_from_one(us) - us * EXP_NEG_GAMMA
+        out = self.buchstab_cum.eval_many(us) - us * EXP_NEG_GAMMA
         return float(out[0]) if np.ndim(u) == 0 else out
-
-    def ratio_integral_from_one(self, us):
-        return self.ratio_cum.eval_many(np.atleast_1d(us))
 
     def buchstab_residual(self, u):
         """u*w(u) - 1 - int_1^{u-1} w; zero on the true solution."""
         u = float(u)
-        return u * self.buchstab(u) - 1.0 - float(self.buchstab_integral_from_one(u - 1.0)[0])
+        return u * self.buchstab(u) - 1.0 - self.buchstab_cum(u - 1.0)
 
     def ratio_residual(self, u):
         u = float(u)
-        return u * self.ratio(u) - 2.0 - 2.0 * float(self.ratio_integral_from_one(u - 1.0)[0])
+        return u * self.ratio(u) - 2.0 - 2.0 * self.ratio_cum(u - 1.0)
 
 
 @cache

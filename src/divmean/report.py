@@ -21,6 +21,7 @@ from .sieve import build_prime_list
 from .theta import ThetaRule, b_rows, chain_stats_multi, dense_stats, rough_stats
 
 DEFAULT_SLACK = 5.0
+GRID_POINT_LIMIT = 10**6  # rows of one tabulated function or figure
 
 _GROWTH_CONSTANTS = None
 
@@ -284,9 +285,12 @@ def _grid(lo, hi, step):
         raise RangeError(f"step must be positive, got {step}")
     if hi < lo:
         raise RangeError("grid upper end below lower end")
-    n = int(round((hi - lo) / step))
+    width = (hi - lo) / step
+    if not width < GRID_POINT_LIMIT - 1:  # inf and nan too, before any allocation
+        raise RangeError(f"grid needs more than {GRID_POINT_LIMIT} points")
+    n = int(round(width))
     if abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
-        n = int(math.floor((hi - lo) / step + 1e-12))
+        n = int(math.floor(width + 1e-12))
     return lo + step * np.arange(n + 1)
 
 
@@ -302,9 +306,9 @@ def tabulate_fn(name, lo, hi, step):
     attrs = {"omega": "buchstab", "xi": "ratio", "lambda": "growth"}
     if name not in attrs:
         raise RangeError(f"unknown function {name!r}")
+    xs = _grid(float(lo), float(hi), float(step))
     fn = getattr(get_bundle(), attrs[name])  # builds only the table asked for
     var = "v" if name == "lambda" else "u"
-    xs = _grid(float(lo), float(hi), float(step))
     vals = fn.eval_many(xs)
     budget = np.full_like(xs, fn.err_budget)
     return _csv(f"{var},value,err_budget", [xs, vals, budget])

@@ -1,7 +1,8 @@
-"""Smallest-prime-factor table, prime list, and multiplicative basics.
+"""One odd-only sieve, the prime list, and the factorisation table.
 
-Everything downstream (chain enumeration, rough-number statistics,
-Mertens products) sits on these two write-once tables.  Counts and
+Chain enumeration, rough-number statistics and Mertens products sit on
+odd_sieve; the smallest-prime-factor table backs only the factorisation
+oracles (tau, sigma, divisor lists, membership checks).  Counts and
 divisor sums are accumulated in Python integers, so overflow is
 impossible by construction.
 """
@@ -58,12 +59,12 @@ class SpfTable:
         return out
 
 
-def build_spf_table(limit, budget_entries=DEFAULT_SPF_BUDGET):
+def build_spf_table(limit):
     if limit < 2:
         raise RangeError(f"limit must be >= 2, got {limit}")
-    if limit + 1 > budget_entries:
+    if limit + 1 > DEFAULT_SPF_BUDGET:
         raise ResourceError(
-            f"spf table of {limit + 1} entries exceeds budget {budget_entries}"
+            f"spf table of {limit + 1} entries exceeds budget {DEFAULT_SPF_BUDGET}"
         )
     spf = np.zeros(limit + 1, dtype=np.int32)
     spf[2::2] = 2

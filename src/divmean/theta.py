@@ -28,7 +28,7 @@ import numpy as np
 
 from ._util import write_lines
 from .errors import ConfigError, RangeError, ResourceError
-from .sieve import build_prime_list, build_spf_table, divisors_sorted, odd_sieve
+from .sieve import build_prime_list, divisors_sorted, odd_sieve
 
 ROUGH_LIMIT = 1 << 27
 SUBSET_SUM_LIMIT = 10**6
@@ -290,21 +290,26 @@ def rough_members(x, y):
     return np.flatnonzero(odd) * 2 + 1
 
 
+def _tau_sum(rough, x):
+    """S(x, y), the tau sum over rough, the ascending y-rough members <= x.
+
+    Divisors of rough numbers are rough, so S counts the pairs a*b <= x of
+    members: those with a <= sqrt(x), twice, less those with both <= sqrt(x).
+    """
+    k = int(np.searchsorted(rough, isqrt(x), side="right"))
+    return 2 * int(np.searchsorted(rough, x // rough[:k], side="right").sum()) - k * k
+
+
 def rough_stats(x, y):
     """Exact Phi(x,y), S(x,y), and the rough harmonic sum (n=1 included)."""
     rough = rough_members(x, y)
     phi = len(rough)
-    # hyperbola: pairs a*b <= x with a <= sqrt(x), twice, less both <= sqrt(x)
-    k = int(np.searchsorted(rough, isqrt(x), side="right"))
-    s = 2 * int(np.searchsorted(rough, x // rough[:k], side="right").sum()) - k * k
     chunks = ((1.0 / rough[i : i + _CHUNK]).tolist() for i in range(0, phi, _CHUNK))
     harm = math.fsum(itertools.chain.from_iterable(chunks))
-    return SeqStats(x, phi, s, harm)
+    return SeqStats(x, phi, _tau_sum(rough, x), harm)
 
 
 def dense_stats(x, t):
-    if Fraction(t) < 2:
-        raise RangeError(f"t must be >= 2, got {t}")
     return _tally(ThetaRule.dense(t), [x])[0]
 
 
@@ -336,26 +341,17 @@ def write_b_stream(rule, x, fh, threads=1):
     return write_lines(fh, generate_B(rule, x))
 
 
-def _bulk_tau(x):
-    # hyperbola fill: each divisor pair (d, n/d) with d*d <= n adds 2,
-    # perfect squares correct the double count
-    arr = np.zeros(x + 1, dtype=np.int32)
-    for d in range(1, isqrt(x) + 1):
-        arr[d * d :: d] += 2
-        arr[d * d] -= 1
-    return arr
-
-
-def verify_funceq(x, rule, table=None):
+def verify_funceq(x, rule):
     """Exact identity: sum_{m<=x} f(m) = sum_{n in B(x)} f(n)(1 + inner sum).
 
-    Inner sum runs over 2 <= r <= x/n with P-(r) > theta(n); checked for
-    f = 1 and f = tau with integer arithmetic end to end.
+    Inner sum runs over 2 <= r <= x/n with P-(r) > theta(n), the theta(n)-rough
+    r: Phi(x/n, theta(n)) - 1 of them with tau sum S(x/n, theta(n)) - 1.
+    Checked for f = 1 and f = tau with integer arithmetic end to end.
     """
     if x < 1:
         raise RangeError(f"x must be >= 1, got {x}")
-    if table is None or table.limit < x:
-        table = build_spf_table(max(x, 2))
+    if x > ROUGH_LIMIT:  # before the walk: every inner sum sieves up to x/n
+        raise RangeError(f"x={x} above rough sieve limit {ROUGH_LIMIT}")
     # hyperbola: sum_{d<=x} x//d = 2 sum_{d<=sqrt(x)} x//d - isqrt(x)^2
     root = isqrt(x)
     lhs_tau = 2 * int((x // np.arange(1, root + 1, dtype=np.int64)).sum()) - root * root
@@ -366,12 +362,10 @@ def verify_funceq(x, rule, table=None):
     # only rows with theta(n) < x//n can have an inner sum (theta >= 2 always)
     zs = x // ns
     inner = tfs < zs
-    tau_arr = _bulk_tau(x)
-    spf = table.spf
     for z, w, tu in zip(*(a[inner].tolist() for a in (zs, tfs, taus))):
-        sel = spf[2 : z + 1] > w
-        rhs_tau += tu * int(tau_arr[2 : z + 1][sel].sum(dtype=np.int64))
-        rhs_count += int(np.count_nonzero(sel))
+        rough = rough_members(z, w)
+        rhs_tau += tu * (_tau_sum(rough, z) - 1)
+        rhs_count += len(rough) - 1
     return {
         "x": x,
         "theta": rule.name,

@@ -176,7 +176,7 @@ def test_criterion_4_exact_combinatorics():
     funceq_ok = True
     for rule in rules.values():
         for x in (10**3, 10**4, 10**5):
-            res = verify_funceq(x, rule, spf)
+            res = verify_funceq(x, rule)
             funceq_ok &= (
                 res["exact"]
                 and res["count_lhs"] == res["count_rhs"]

@@ -75,6 +75,19 @@ class TestEnumerate:
     def test_rough_requires_y(self, capsys):
         assert run(["enumerate", "rough", "--x", "100"], capsys)[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["enumerate", "practical", "--x", "0"], ["enumerate", "rough", "--x", "100"]],
+        ids=["practical-x0", "rough-no-y"],
+    )
+    def test_rejected_request_keeps_out_file(self, argv, capsys, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"keep\n")
+        code, out, _ = run([*argv, "--out", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert path.read_bytes() == b"keep\n"
+
     def test_threads_do_not_change_bytes(self, capsys, tmp_path):
         one = tmp_path / "one.txt"
         four = tmp_path / "four.txt"
@@ -113,6 +126,34 @@ class TestVerify:
         vals = dict(l.split(" = ") for l in lines[:-1])
         assert vals["count_lhs"] == vals["count_rhs"]
         assert vals["tau_lhs"] == vals["tau_rhs"]
+
+    @pytest.mark.parametrize(
+        "rule",
+        [["--theta", "dense", "--t", "2"], ["--theta", "practical"]],
+        ids=["dense2", "practical"],
+    )
+    def test_funceq_builds_no_spf_table(self, rule, capsys, monkeypatch):
+        # the inner sums come from the rough sieve, never from the spf table
+        def refuse(*args, **kwargs):
+            raise RuntimeError("build_spf_table called")
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "divmean" and hasattr(mod, "build_spf_table"):
+                monkeypatch.setattr(mod, "build_spf_table", refuse)
+        code, out, _ = run(["verify", "funceq", *rule, "--x", "100000"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "PASS"
+
+    def test_funceq_above_rough_limit_refused_before_walk(self, capsys, monkeypatch):
+        calls = []
+        walk = theta.b_rows
+        monkeypatch.setattr(theta, "b_rows", lambda *a: calls.append(a) or walk(*a))
+        monkeypatch.setattr(theta, "ROUGH_LIMIT", 10**4)
+        code, out, err = run(["verify", "funceq", "--x", "100000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: x=100000 above rough sieve limit 10000\n"
+        assert calls == []
 
     def test_rough_rows_pass(self, capsys):
         code, out, _ = run(["verify", "rough", "--x", "100000", "--y", "46"], capsys)
@@ -264,14 +305,31 @@ class TestBadNumbers:
             ["verify", "rough", "--y", "inf"],
             ["stats", "rough", "--x", "100", "--y", "1e400"],
             ["verify", "practical", "--xs", "1,x"],
+            ["fn", "xi", "--from", "nan"],
+            ["figures", "fig2", "--step", "nan"],
+            ["fn", "xi", "--to", "inf"],
+            ["fn", "omega", "--step", "inf"],
+            # 1e13 points: refused by count, before anything is allocated
+            ["fn", "xi", "--step", "1e-12"],
         ],
-        ids=["t-nan", "t-abc", "y-inf", "y-1e400", "xs-1,x"],
+        ids=[
+            "t-nan",
+            "t-abc",
+            "y-inf",
+            "y-1e400",
+            "xs-1,x",
+            "from-nan",
+            "fig2-step-nan",
+            "to-inf",
+            "step-inf",
+            "step-1e-12",
+        ],
     )
     def test_usage_error(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == 2
         assert out == ""
-        assert "error:" in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
         assert "Traceback" not in err
 
     def test_rational_t_still_accepted(self, capsys):

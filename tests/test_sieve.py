@@ -38,7 +38,7 @@ def test_spf_rejects_limit_1():
 
 def test_spf_budget():
     with pytest.raises(ResourceError):
-        build_spf_table(10**6, budget_entries=1000)
+        build_spf_table(DEFAULT_SPF_BUDGET)
 
 
 def test_prime_list_budget():
