@@ -338,7 +338,7 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except DivmeanError as e:
+    except (DivmeanError, MemoryError) as e:  # numpy's failed allocations too
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BrokenPipeError:

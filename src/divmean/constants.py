@@ -20,6 +20,7 @@ it: the import costs about 0.2 s, and only the constants lab needs it.
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,6 +38,10 @@ from .funcs import (
 DELTA_BRACKET = (0.713611, 0.713614)
 _GL16 = np.polynomial.legendre.leggauss(16)
 _POLE_EPS = 1e-9
+_U_END = 40.0  # u-integrals stop here: e^{2J(u)} - 1 < 1e-18 beyond
+_BISECT_HALF = 1e-4  # half side of the square around a bisection root of g
+_REFINE_HALF = 1e-5  # ... and around a root polished on the full table
+_WALK_MAX_PTS = 200_000  # points on one side of a contour walk
 
 B0 = EXP_NEG_2GAMMA
 B1 = 2.0 * EXP_NEG_2GAMMA
@@ -50,11 +55,10 @@ def _check_not_pole(s):
 class GEvaluator:
     """g and g' from a fixed Gauss discretization of the gap integral."""
 
-    def __init__(self, V=6.0, panel_width=0.25, full_grid=False, bundle=None):
-        bundle = bundle or get_bundle()
-        self._xi = bundle.ratio
+    def __init__(self, V=6.0, panel_width=0.25, full_grid=False):
+        self._xi = get_bundle().ratio
         if full_grid:
-            v_hi = bundle.ratio.grid_end
+            v_hi = self._xi.grid_end
         else:
             if not 5.0 <= V <= 8.0:
                 raise RangeError(f"truncation V must lie in [5, 8], got {V}")
@@ -134,14 +138,14 @@ def _tail_envelope(end, p, total):
     return total
 
 
-_EV_CACHE = {}
-
-
 def _evaluator(V=6.0, panel_width=0.25, full_grid=False):
-    key = ("full" if full_grid else round(float(V), 9), round(panel_width, 9))
-    if key not in _EV_CACHE:
-        _EV_CACHE[key] = GEvaluator(V=V, panel_width=panel_width, full_grid=full_grid)
-    return _EV_CACHE[key]
+    """The process-wide GEvaluator; the full table ignores V."""
+    return _evaluator_at(None if full_grid else float(V), float(panel_width))
+
+
+@cache
+def _evaluator_at(V, panel_width):
+    return GEvaluator(V=V, panel_width=panel_width, full_grid=V is None)
 
 
 def _full_ev():
@@ -156,7 +160,7 @@ def g_prime_eval(s, V=6.0):
     return _evaluator(V=V).g_prime(s)
 
 
-def _bisect_real_root(fn, a, b, iters=100):
+def _bisect_real_root(fn, a, b):
     fa, fb = fn(a), fn(b)
     if fa == 0.0:
         return a
@@ -164,7 +168,9 @@ def _bisect_real_root(fn, a, b, iters=100):
         return b
     if (fa > 0) == (fb > 0):
         raise SolverError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
-    for _ in range(iters):
+    # the width test always ends the loop: two adjacent floats are closer
+    # than 1e-15 * max(1, |a|)
+    while b - a >= 1e-15 * max(1.0, abs(a)):
         mid = 0.5 * (a + b)
         fm = fn(mid)
         if fm == 0.0:
@@ -172,9 +178,7 @@ def _bisect_real_root(fn, a, b, iters=100):
         if (fm > 0) == (fa > 0):
             a, fa = mid, fm
         else:
-            b, fb = mid, fm
-        if b - a < 1e-15 * max(1.0, abs(a)):
-            break
+            b = mid
     return 0.5 * (a + b)
 
 
@@ -182,29 +186,20 @@ def find_delta_via_g(V=6.0):
     """Positive root of g by bisection on (0.1, 0.9), certified by winding."""
     ev = _evaluator(V=V)
     root = _bisect_real_root(ev.g, 0.1, 0.9)
-    return _real_root_certificate(
-        root,
-        residual=abs(ev.g(root)),
-        walk_ev=ev,
-        residue=1.0 / (root * (root - 1.0) * ev.g_prime(root)),
-        truncation_V=V,
+    residue = 1.0 / (root * (root - 1.0) * ev.g_prime(root))
+    return _certificate(
+        ev, root, abs(ev.g(root)), residue, "real-bisection", V, _BISECT_HALF
     )
 
 
-def _real_root_certificate(root, residual, walk_ev, residue, truncation_V, half=1e-4):
-    lo = complex(root - half, -half)
-    hi = complex(root + half, half)
+def _certificate(walk_ev, root, residual, residue, method, truncation_V, half):
+    """Certify root by winding number 1 on the square root +- half*(1+1j)."""
+    lo, hi = root - half * (1 + 1j), root + half * (1 + 1j)
     winding, _ = _rect_walk(walk_ev, lo, hi)
     if winding != 1:
-        raise ContourError(f"winding {winding} around bisection root {root}")
+        raise ContourError(f"winding {winding} around root {root}")
     return RootCertificate(
-        location=complex(root),
-        enclosure=(lo, hi),
-        winding=winding,
-        residual=residual,
-        residue=complex(residue),
-        method="real-bisection",
-        truncation_V=truncation_V,
+        complex(root), (lo, hi), winding, residual, complex(residue), method, truncation_V
     )
 
 
@@ -235,20 +230,7 @@ def _phi(u):
     return acc
 
 
-def _q_integrand_low(u, s):
-    # u^s * (F(u) - b0/u^2 - b1/u) with the u^-2 blowup cancelled in series
-    core = B0 * (np.expm1(_phi(u)) - 2.0 * u) / u**2 - 1.0
-    return np.power(u, s) * core
-
-
-def _q_integrand_mid(u, s):
-    from scipy.special import exp1
-
-    core = np.expm1(2.0 * exp1(u)) - B0 / u**2 - B1 / u
-    return np.power(u, s) * core
-
-
-def Q_eval(s, u_max=40.0):
+def Q_eval(s):
     """Divisor-side Mellin transform, continued across its poles at 1 and 0.
 
     Q(s) = int_0^1 u^s (F - b0 u^-2 - b1 u^-1) du + b0/(s-1) + b1/s
@@ -268,13 +250,17 @@ def Q_eval(s, u_max=40.0):
     edges_low = [eps]
     while edges_low[-1] < 0.5:
         edges_low.append(edges_low[-1] * 2.0)
-    n_low, w_low = _panel_nodes(edges_low, _GL16, max_width=1.0)
-    part_low = _quad_sum(w_low, _q_integrand_low(n_low, s))
-    n_mid, w_mid = _panel_nodes([edges_low[-1], 0.75, 1.0], _GL16, max_width=1.0)
-    part_mid = _quad_sum(w_mid, _q_integrand_mid(n_mid, s))
+    # the integrand u^s * (F(u) - b0/u^2 - b1/u), below 1/2 with the u^-2
+    # blowup cancelled in series
+    u, w = _panel_nodes(edges_low, _GL16, max_width=1.0)
+    core = B0 * (np.expm1(_phi(u)) - 2.0 * u) / u**2 - 1.0
+    part_low = _quad_sum(w, np.power(u, s) * core)
+    u, w = _panel_nodes([edges_low[-1], 0.75, 1.0], _GL16, max_width=1.0)
+    core = np.expm1(2.0 * exp1(u)) - B0 / u**2 - B1 / u
+    part_mid = _quad_sum(w, np.power(u, s) * core)
     edges_hi = [1.0]
-    while edges_hi[-1] < u_max:
-        edges_hi.append(min(edges_hi[-1] * 1.5, u_max))
+    while edges_hi[-1] < _U_END:
+        edges_hi.append(min(edges_hi[-1] * 1.5, _U_END))
     n_hi, w_hi = _panel_nodes(edges_hi, _GL16, max_width=np.inf)
     part_hi = _quad_sum(w_hi, np.power(n_hi, s) * np.expm1(2.0 * exp1(n_hi)))
     out = head + part_low + part_mid + B0 / (s - 1.0) + B1 / s + part_hi
@@ -290,16 +276,13 @@ def find_delta_via_Q():
     h = 1e-6
     qp = (Q_eval(root + h) - Q_eval(root - h)) / (2.0 * h)
     gp = (root + 1.0) * qp / (2.0 * math.gamma(root + 1.0))
-    return _real_root_certificate(
-        root,
-        residual=abs(Q_eval(root)),
-        walk_ev=_full_ev(),
-        residue=1.0 / (root * (root - 1.0) * gp),
-        truncation_V=None,
+    residue = 1.0 / (root * (root - 1.0) * gp)
+    return _certificate(
+        _full_ev(), root, abs(Q_eval(root)), residue, "real-bisection", None, _BISECT_HALF
     )
 
 
-def _rect_walk(ev, lo, hi, max_pts=200_000):
+def _rect_walk(ev, lo, hi):
     """Argument-principle walk around a rectangle: (winding, min |g|)."""
     lo, hi = complex(lo), complex(hi)
     if not (hi.real > lo.real and hi.imag > lo.imag):
@@ -318,7 +301,7 @@ def _rect_walk(ev, lo, hi, max_pts=200_000):
             bad = np.abs(dphi) >= (math.pi / 4.0)
             if not bad.any():
                 break
-            if len(ts) > max_pts:
+            if len(ts) > _WALK_MAX_PTS:
                 raise ContourError("contour refinement exploded")
             mids = 0.5 * (ts[:-1][bad] + ts[1:][bad])
             gm = ev.g_many(a + (b - a) * mids)
@@ -388,7 +371,7 @@ class RootCertificate:
         }
 
 
-def refine_zero(seed, enclosure=1e-5):
+def refine_zero(seed):
     """Polish a root of g on the full table, then certify it by winding."""
     ev = _full_ev()
     seed = complex(seed)
@@ -401,7 +384,7 @@ def refine_zero(seed, enclosure=1e-5):
             a, b = x - half, x + half
             if half > 0.64:
                 raise SolverError(f"no bracket around real seed {x}")
-        root = complex(_bisect_real_root(ev.g, a, b, iters=200))
+        root = complex(_bisect_real_root(ev.g, a, b))
         method = "real-bisection"
     else:
         root = seed
@@ -420,22 +403,9 @@ def refine_zero(seed, enclosure=1e-5):
     residual = abs(complex(ev.g_many(root)[0]))
     if residual > 1e-10:
         raise SolverError(f"refined residual {residual} above 1e-10")
-    half = enclosure
-    lo, hi = root - half * (1 + 1j), root + half * (1 + 1j)
-    winding, _ = _rect_walk(ev, lo, hi)
-    if winding != 1:
-        raise ContourError(f"winding {winding} around refined root {root}")
     gp = complex(ev.g_prime_many(root)[0])
     residue = 1.0 / (root * (root - 1.0) * gp)
-    return RootCertificate(
-        location=root,
-        enclosure=(lo, hi),
-        winding=winding,
-        residual=residual,
-        residue=residue,
-        method=method,
-        truncation_V=ev.truncation_V,
-    )
+    return _certificate(ev, root, residual, residue, method, ev.truncation_V, _REFINE_HALF)
 
 
 def residue_at(target):
@@ -507,8 +477,8 @@ def buchstab_transform_check(s):
         ck * eps ** (s - 1 + k) / (s - 1 + k) for k, ck in enumerate(c)
     ) - eps**s / s
     edges = [eps]
-    while edges[-1] < 40.0:
-        edges.append(min(edges[-1] * 1.5, 40.0))
+    while edges[-1] < _U_END:
+        edges.append(min(edges[-1] * 1.5, _U_END))
     nodes, wts = _panel_nodes(edges, _GL16, max_width=np.inf)
     body = float(_quad_sum(wts, nodes ** (s - 1.0) * np.expm1(exp1(nodes))))
     lhs = s * (head + body)
@@ -576,5 +546,5 @@ def constants_document():
     return doc
 
 
-def document_to_json(doc, indent=2):
-    return json.dumps(doc, indent=indent, sort_keys=True)
+def document_to_json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)

@@ -104,49 +104,35 @@ class PiecewiseFn:
         return float(self.eval_many(np.float64(u)))
 
 
-def _panel_value(f, p, block, h):
-    r = p % block
-    if r == 0:
-        w, i0 = _W_FWD, p
-    elif r == block - 1:
-        w, i0 = _W_BWD, p - 2
-    else:
-        w, i0 = _W_INT, p - 1
-    return h * (w[0] * f[i0] + w[1] * f[i0 + 1] + w[2] * f[i0 + 2] + w[3] * f[i0 + 3])
-
-
-def _march_delay(c0, n_blocks, step_bits):
+def _march_delay(c0, n_blocks):
     """March u*f(u) = c0 + c0*int_1^{u-1} f with f = c0/u on [1, 2].
 
-    Returns grid values of f and of the cumulative integral from 1.
-    The march needs the cumulative value one full block back, while a
-    panel's stencil reaches at most 3 nodes ahead, so completing panels
-    lazily (once their stencil is known) always stays ahead of the reads.
+    Returns grid values of f and of the cumulative integral from 1.  f on a
+    block reads the integral one block back, so each block takes one
+    vectorised step for f, then its panels (each stencil clamped to the
+    block), then its integral as a cumulative sum seeded with the carry.
+    Scalar math.log on [1, 3] and stencil products added left to right give
+    the bits of the node-by-node march that the tests keep as reference.
     """
-    h = 2.0**-step_bits
-    block = 1 << step_bits
-    n = n_blocks * block
-    u = (1.0 + np.arange(n + 1) * h).tolist()
-    f = [0.0] * (n + 1)
-    icum = [0.0] * (n + 1)
-    for k in range(block + 1):
-        f[k] = c0 / u[k]
-        icum[k] = c0 * math.log(u[k])
-    for k in range(block + 1, 2 * block + 1):
-        f[k] = (c0 + c0 * c0 * math.log(u[k] - 1.0)) / u[k]
-    for p in range(block, 2 * block):
-        icum[p + 1] = icum[p] + _panel_value(f, p, block, h)
-    next_p = 2 * block
-    for k in range(2 * block + 1, n + 1):
-        f[k] = (c0 + c0 * icum[k - block]) / u[k]
-        while next_p < n:
-            r = next_p % block
-            need = next_p + 3 if r == 0 else (next_p + 1 if r == block - 1 else next_p + 2)
-            if need > k:
-                break
-            icum[next_p + 1] = icum[next_p] + _panel_value(f, next_p, block, h)
-            next_p += 1
-    return np.array(f), np.array(icum)
+    h = 2.0**-OMEGA_STEP_BITS
+    block = 1 << OMEGA_STEP_BITS
+    u = 1.0 + np.arange(n_blocks * block + 1) * h
+    f, icum = np.zeros_like(u), np.zeros_like(u)
+    first, second = u[: block + 1].tolist(), u[block + 1 : 2 * block + 1].tolist()
+    f[: block + 1] = [c0 / x for x in first]
+    icum[: block + 1] = [c0 * math.log(x) for x in first]
+    f[block + 1 : 2 * block + 1] = [(c0 + c0 * c0 * math.log(x - 1.0)) / x for x in second]
+    # first node and weights of the stencil of the panel at each block offset
+    start = np.clip(np.arange(block) - 1, 0, block - 3)
+    w = np.array([_W_FWD] + [_W_INT] * (block - 2) + [_W_BWD]).T
+    for lo in range(block, n_blocks * block, block):
+        if lo >= 2 * block:
+            nxt = slice(lo + 1, lo + block + 1)
+            f[nxt] = (c0 + c0 * icum[lo - block + 1 : lo + 1]) / u[nxt]
+        fs = [f[lo + start + j] for j in range(4)]
+        panels = h * (w[0] * fs[0] + w[1] * fs[1] + w[2] * fs[2] + w[3] * fs[3])
+        icum[lo : lo + block + 1] = np.cumsum(np.concatenate(([icum[lo]], panels)))
+    return f, icum
 
 
 def _delay_tables(name, c0, n_blocks, tail_fn, cum_tail, err_budget):
@@ -156,7 +142,7 @@ def _delay_tables(name, c0, n_blocks, tail_fn, cum_tail, err_budget):
     past the grid; the integral is zero below 1 and top + cum_tail(u, end)
     past the grid end, where it reaches top.
     """
-    vals, icum = _march_delay(c0, n_blocks, OMEGA_STEP_BITS)
+    vals, icum = _march_delay(c0, n_blocks)
     grid = {
         "grid_start": 1.0,
         "grid_step": 2.0**-OMEGA_STEP_BITS,
@@ -239,6 +225,7 @@ class DelayDerivative:
 
 _GL12 = np.polynomial.legendre.leggauss(12)
 _GL20 = np.polynomial.legendre.leggauss(20)
+_EDGE_EPS = 1e-12  # panel edges closer than this are merged
 
 
 def _gauss_panels(a, b, gl, max_width):
@@ -283,7 +270,8 @@ def _quad_sum(weights, values):
     return (values * weights).sum(axis=-1)
 
 
-def _merge_edges(points, lo, hi, eps=1e-12):
+def _merge_edges(points, lo, hi):
+    eps = _EDGE_EPS
     pts = sorted(p for p in points if lo + eps < p < hi - eps)
     edges = [lo]
     for p in pts:
@@ -306,7 +294,7 @@ def _growth_panels(vs):
     predecessor is the same as dropping one close to the last kept point.
     Returns the nodes, the weights, and the node offsets of the rows.
     """
-    eps = 1e-12  # the default of _merge_edges
+    eps = _EDGE_EPS
     ub = (vs - 1.0) / 2.0
     ints = np.arange(1.0, int(ub.max()) + 1.0)
     js = np.arange(2.0, int(vs.max()) + 1.0)

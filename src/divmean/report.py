@@ -10,6 +10,7 @@ later is a data change, not a code change.
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -22,26 +23,15 @@ from .theta import ThetaRule, b_rows, chain_stats_multi, dense_stats, rough_stat
 
 DEFAULT_SLACK = 5.0
 GRID_POINT_LIMIT = 10**6  # rows of one tabulated function or figure
-
-_GROWTH_CONSTANTS = None
-
-
-def _mertens(y):
-    """prod_{p<=y}(1-1/p); a fractional y needs primes up to ceil(y)."""
-    return build_prime_list(max(2, math.ceil(y))).mertens(y)
+# default (from, to, step) of each figure's grid
+FIGURE_GRIDS = {"fig1": (1.0, 15.0, 0.25), "fig2": (0.0, 50.0, 0.5)}
 
 
+@cache
 def growth_constants():
     """(exponent, leading, correction) of the dense tau-sum asymptote."""
-    global _GROWTH_CONSTANTS
-    if _GROWTH_CONSTANTS is None:
-        cert = refine_zero(0.7136125)
-        _GROWTH_CONSTANTS = (
-            cert.location.real,
-            cert.residue.real,
-            lambda1_closed_form(),
-        )
-    return _GROWTH_CONSTANTS
+    cert = refine_zero(0.7136125)
+    return cert.location.real, cert.residue.real, lambda1_closed_form()
 
 
 @dataclass(frozen=True)
@@ -122,31 +112,28 @@ def rows_to_jsonl(rows):
     return "".join(json.dumps(r.as_dict(), sort_keys=True) + "\n" for r in rows)
 
 
-def _check_xy(x, y):
+def _rough_terms(x, y):
+    """The bundle, log y, u = log x / log y and prod_{p<=y}(1-1/p)."""
     if x < 1:
         raise RangeError(f"x must be >= 1, got {x}")
     if y < 2:
         raise RangeError(f"y must be >= 2, got {y}")
+    ly = math.log(y)
+    # a fractional y needs primes up to ceil(y)
+    pi_y = build_prime_list(max(2, math.ceil(y))).mertens(y)
+    return get_bundle(), ly, math.log(x) / ly, pi_y
 
 
 def estimate_phi(x, y):
     """Main terms of the rough-count estimate, indicator correction included."""
-    _check_xy(x, y)
-    b = get_bundle()
-    ly = math.log(y)
-    u = math.log(x) / ly
-    pi_y = _mertens(y)
+    b, ly, u, pi_y = _rough_terms(x, y)
     corr = y / x if x >= y else 0.0
     return 1.0 + x * pi_y + (x / ly) * (b.buchstab(u) - EXP_NEG_GAMMA - corr)
 
 
 def estimate_S(x, y):
     """Main terms of the rough tau-sum estimate."""
-    _check_xy(x, y)
-    b = get_bundle()
-    ly = math.log(y)
-    u = math.log(x) / ly
-    pi_y = _mertens(y)
+    b, ly, u, pi_y = _rough_terms(x, y)
     corr = 2.0 * y / x if x >= y else 0.0
     main = x * math.log(x) * pi_y * pi_y
     return 1.0 + main + (x / ly) * (b.ratio(u) - u * EXP_NEG_2GAMMA - corr)
@@ -154,10 +141,7 @@ def estimate_S(x, y):
 
 def estimate_harmonic(x, y):
     """Main terms of the rough harmonic-sum estimate."""
-    _check_xy(x, y)
-    b = get_bundle()
-    u = math.log(x) / math.log(y)
-    pi_y = _mertens(y)
+    b, _, u, pi_y = _rough_terms(x, y)
     return 1.0 + math.log(x) * pi_y + b.buchstab_defect_integral(u)
 
 
@@ -316,33 +300,20 @@ def tabulate_fn(name, lo, hi, step):
 
 def emit_figure_data(which, lo=None, hi=None, step=None):
     """Figure-ready CSV: scaled tau sums and their asymptotes."""
+    if which not in FIGURE_GRIDS:
+        raise RangeError(f"unknown figure {which!r}")
+    grid = zip((lo, hi, step), FIGURE_GRIDS[which])
+    xs = _grid(*(d if v is None else float(v) for v, d in grid))
     b = get_bundle()
     if which == "fig1":
-        lo = 1.0 if lo is None else float(lo)
-        hi = 15.0 if hi is None else float(hi)
-        step = 0.25 if step is None else float(step)
-        us = _grid(lo, hi, step)
-        xi = b.ratio.eval_many(us)
-        om = b.buchstab.eval_many(us)
-        mean = np.zeros_like(us)
+        xi = b.ratio.eval_many(xs)
+        om = b.buchstab.eval_many(xs)
+        mean = np.zeros_like(xs)
         np.divide(xi, om, out=mean, where=om > 0)
         return _csv(
             "u,tau_scale,tau_scale_asymptote,tau_mean,tau_mean_asymptote",
-            [
-                us,
-                xi,
-                (us + 2.0) * EXP_NEG_2GAMMA,
-                mean,
-                (us + 2.0) * EXP_NEG_GAMMA,
-            ],
+            [xs, xi, (xs + 2.0) * EXP_NEG_2GAMMA, mean, (xs + 2.0) * EXP_NEG_GAMMA],
         )
-    if which == "fig2":
-        lo = 0.0 if lo is None else float(lo)
-        hi = 50.0 if hi is None else float(hi)
-        step = 0.5 if step is None else float(step)
-        vs = _grid(lo, hi, step)
-        lam = b.growth.eval_many(vs)
-        d, lam0, lam1 = growth_constants()
-        approx = lam0 * (vs + 1.0) ** d + lam1 / (vs + 1.0)
-        return _csv("v,growth,growth_approx", [vs, lam, approx])
-    raise RangeError(f"unknown figure {which!r}")
+    d, lam0, lam1 = growth_constants()
+    approx = lam0 * (xs + 1.0) ** d + lam1 / (xs + 1.0)
+    return _csv("v,growth,growth_approx", [xs, b.growth.eval_many(xs), approx])

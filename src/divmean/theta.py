@@ -31,6 +31,10 @@ from .errors import ConfigError, RangeError, ResourceError
 from .sieve import build_prime_list, divisors_sorted, odd_sieve
 
 ROUGH_LIMIT = 1 << 27
+# members materialised by generate_B and b_rows: they take about 22 and 68
+# bytes per member, so 2^26 keeps b_rows near 4.5 GB and still admits
+# B(1e9) = 64,782,731 for the practical rule
+MEMBER_LIMIT = 1 << 26
 SUBSET_SUM_LIMIT = 10**6
 CUSTOM_ENUM_LIMIT = 10**6
 _CHUNK = 1 << 16  # elements per tolist() chunk of a long float sum
@@ -213,6 +217,9 @@ def _leaves(recs, parr):
     """Leaf count of every record and the primes of all leaves, in record order."""
     lo, hi = recs[:, 3], recs[:, 4]
     lens = hi - lo
+    members = len(recs) + int(lens.sum())
+    if members > MEMBER_LIMIT:
+        raise ResourceError(f"{members} chain members exceed budget {MEMBER_LIMIT}")
     idx = np.repeat(lo - (np.cumsum(lens) - lens), lens)
     idx += np.arange(len(idx))
     return lens, parr[idx]
@@ -220,16 +227,12 @@ def _leaves(recs, parr):
 
 def _theta_floors(rule, x, ns, sgs):
     """floor(theta(n)) for arrays of members n with sigma(n); x stands for +inf."""
-    if rule.kind == "practical":
-        return sgs + 1
-    if rule.kind == "dense":
-        if int(x) * rule.t_num < 1 << 63:
-            return ns * rule.t_num // rule.t_den
-        # n*t_num overflows int64 (float t such as 2.1 has a 52-bit numerator)
-        floors = [n * rule.t_num // rule.t_den for n in ns.tolist()]
-    else:
-        floors = [x if f is None else f for f in map(rule.theta_floor, ns.tolist())]
-    return np.array(floors, dtype=np.int64)
+    if rule.kind != "custom" and int(x) * rule.t_num < 1 << 63:
+        return rule.theta_floor(ns, sgs)
+    # custom tables, and n*t_num past int64 (a float t such as 2.1 has a
+    # 52-bit numerator): one Python integer per member
+    floors = map(rule.theta_floor, ns.tolist(), sgs.tolist())
+    return np.array([x if f is None else f for f in floors], dtype=np.int64)
 
 
 def _tally(rule, cuts):
@@ -274,8 +277,8 @@ def b_rows(rule, x):
     return ns[order], taus[order], thetas[order]
 
 
-def rough_members(x, y):
-    """Ascending array of n <= x with no prime factor <= y (n=1 included)."""
+def _rough_mask(x, y):
+    """Odd sieve mask of the n <= x with no prime factor <= y (n=1 included)."""
     if x < 1:
         raise RangeError(f"x must be >= 1, got {x}")
     if y < 2:
@@ -287,26 +290,37 @@ def rough_members(x, y):
     # min(y, sqrt(x)) are 1, the odd primes and the y-rough composites
     odd = odd_sieve(x, min(yf, isqrt(x)))
     odd[1 : (yf + 1) // 2] = False  # 3, 5, ..., y: each has a factor <= y
-    return np.flatnonzero(odd) * 2 + 1
+    return odd
 
 
-def _tau_sum(rough, x):
-    """S(x, y), the tau sum over rough, the ascending y-rough members <= x.
+def rough_members(x, y):
+    """Ascending array of n <= x with no prime factor <= y (n=1 included)."""
+    return np.flatnonzero(_rough_mask(x, y)) * 2 + 1
+
+
+def _phi_S(odd, x):
+    """Phi(x, y) and S(x, y) from the rough mask odd of x, without its members.
 
     Divisors of rough numbers are rough, so S counts the pairs a*b <= x of
     members: those with a <= sqrt(x), twice, less those with both <= sqrt(x).
+    The members <= x//a are a prefix of the mask, longer as a falls, so the
+    counts of all the prefixes come from one pass over the mask in segments.
     """
-    k = int(np.searchsorted(rough, isqrt(x), side="right"))
-    return 2 * int(np.searchsorted(rough, x // rough[:k], side="right").sum()) - k * k
+    small = np.flatnonzero(odd[: (isqrt(x) + 1) // 2]) * 2 + 1  # rough a <= sqrt(x)
+    ends = [0] + ((x // small[::-1] + 1) // 2).tolist()  # the last is len(odd)
+    segs = (np.count_nonzero(odd[i:j]) for i, j in zip(ends, ends[1:]))
+    counts = list(itertools.accumulate(segs))
+    return int(counts[-1]), 2 * int(sum(counts)) - len(small) ** 2
 
 
 def rough_stats(x, y):
     """Exact Phi(x,y), S(x,y), and the rough harmonic sum (n=1 included)."""
-    rough = rough_members(x, y)
-    phi = len(rough)
+    odd = _rough_mask(x, y)
+    phi, tau_sum = _phi_S(odd, x)
+    rough = np.flatnonzero(odd) * 2 + 1
     chunks = ((1.0 / rough[i : i + _CHUNK]).tolist() for i in range(0, phi, _CHUNK))
     harm = math.fsum(itertools.chain.from_iterable(chunks))
-    return SeqStats(x, phi, _tau_sum(rough, x), harm)
+    return SeqStats(x, phi, tau_sum, harm)
 
 
 def dense_stats(x, t):
@@ -363,9 +377,9 @@ def verify_funceq(x, rule):
     zs = x // ns
     inner = tfs < zs
     for z, w, tu in zip(*(a[inner].tolist() for a in (zs, tfs, taus))):
-        rough = rough_members(z, w)
-        rhs_tau += tu * (_tau_sum(rough, z) - 1)
-        rhs_count += len(rough) - 1
+        phi, tau_sum = _phi_S(_rough_mask(z, w), z)
+        rhs_tau += tu * (tau_sum - 1)
+        rhs_count += phi - 1
     return {
         "x": x,
         "theta": rule.name,

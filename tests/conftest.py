@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+# pytest puts src on sys.path (pyproject.toml); the tests that start a fresh
+# interpreter (python -m divmean.cli) read it from PYTHONPATH
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+_paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+if SRC not in _paths:
+    os.environ["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, _paths)])
 
 settings.register_profile(
     "ci",

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from divmean import report, theta
+from divmean import cli, report, theta
 from divmean.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -95,6 +95,52 @@ class TestEnumerate:
         assert run(args + ["--threads", "1", "--out", str(one)], capsys)[0] == 0
         assert run(args + ["--threads", "4", "--out", str(four)], capsys)[0] == 0
         assert one.read_bytes() == four.read_bytes()
+
+
+class TestMemberBudget:
+    """More chain members than MEMBER_LIMIT are refused before they are built."""
+
+    X = 20000
+    CASES = [
+        ["enumerate", "practical", "--x", str(X)],
+        ["verify", "L", "--theta", "practical", "--n", str(X)],
+    ]
+
+    @staticmethod
+    def _members():
+        (st,) = theta.chain_stats_multi(theta.ThetaRule.practical(), [TestMemberBudget.X])
+        return st.count
+
+    @pytest.mark.parametrize("argv", CASES, ids=["enumerate", "verify-L"])
+    def test_over_budget_is_usage_error(self, argv, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(theta, "MEMBER_LIMIT", self._members() - 1)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        path = tmp_path / "f"
+        path.write_bytes(b"keep\n")
+        assert run([*argv, "--out", str(path)], capsys)[0] == 2
+        assert path.read_bytes() == b"keep\n"
+
+    @pytest.mark.parametrize("argv", CASES, ids=["enumerate", "verify-L"])
+    def test_count_at_budget_passes(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(theta, "MEMBER_LIMIT", self._members())
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        if argv[0] == "enumerate":
+            assert len(out.split()) == self._members()
+
+    def test_failed_allocation_is_one_error_line(self, capsys, monkeypatch):
+        # below the budget numpy can still fail to allocate, e.g. under ulimit -v
+        def no_memory(rule, x):
+            raise MemoryError("Unable to allocate 494. MiB for an array")
+
+        monkeypatch.setattr(cli, "generate_B", no_memory)
+        code, out, err = run(self.CASES[0], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: Unable to allocate 494. MiB for an array"]
 
 
 class TestStats:

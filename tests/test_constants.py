@@ -63,6 +63,29 @@ class TestGEvaluator:
         assert abs(np.conj(g1) - g2) <= 1e-12 * (1.0 + abs(g1))
 
 
+class TestEvaluatorCache:
+    def test_document_and_four_truncations_build_at_most_seven(self, monkeypatch):
+        # full table; V = 5, 6, 7, 8 at the default width; V = 5, 6 at the
+        # width of the wide census rectangle
+        built = []
+
+        class Counting(C.GEvaluator):
+            def __init__(self, *args, **kwargs):
+                built.append((args, kwargs))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(C, "GEvaluator", Counting)
+        C._evaluator_at.cache_clear()
+        try:
+            C.constants_document()
+            for V in (5.0, 6.0, 7.0, 8.0):
+                C.find_delta_via_g(V)
+            assert C._evaluator(V=6) is C._evaluator(V=6.0, panel_width=0.25)
+        finally:
+            C._evaluator_at.cache_clear()
+        assert len(built) <= 7, built
+
+
 class TestDeltaRoutes:
     def test_bracket_default(self):
         cert = C.find_delta_via_g()

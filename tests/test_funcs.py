@@ -16,10 +16,16 @@ import divmean
 from divmean.errors import RangeError
 from divmean.funcs import (
     _GL12,
+    _W_BWD,
+    _W_FWD,
+    _W_INT,
     EXP_NEG_2GAMMA,
     EXP_NEG_GAMMA,
     LAMBDA_STEP_BITS,
     LAMBDA_VMAX,
+    OMEGA_BLOCKS,
+    OMEGA_STEP_BITS,
+    XI_BLOCKS,
     _cubic_interp,
     _merge_edges,
     build_growth_fn,
@@ -259,13 +265,74 @@ def _stepwise_growth_grid(ratio):
     return lam
 
 
+def _reference_march_delay(c0, n_blocks, step_bits):
+    """Reference omega/xi march: one Python step per node, panels completed lazily.
+
+    This is the march the block-by-block _march_delay replaced.  It needs
+    the cumulative value one full block back, while a panel's stencil reaches
+    at most 3 nodes ahead, so completing panels once their stencil is known
+    always stays ahead of the reads.
+    """
+    h = 2.0**-step_bits
+    block = 1 << step_bits
+    n = n_blocks * block
+
+    def panel(p):
+        r = p % block
+        if r == 0:
+            w, i0 = _W_FWD, p
+        elif r == block - 1:
+            w, i0 = _W_BWD, p - 2
+        else:
+            w, i0 = _W_INT, p - 1
+        return h * (w[0] * f[i0] + w[1] * f[i0 + 1] + w[2] * f[i0 + 2] + w[3] * f[i0 + 3])
+
+    u = (1.0 + np.arange(n + 1) * h).tolist()
+    f = [0.0] * (n + 1)
+    icum = [0.0] * (n + 1)
+    for k in range(block + 1):
+        f[k] = c0 / u[k]
+        icum[k] = c0 * math.log(u[k])
+    for k in range(block + 1, 2 * block + 1):
+        f[k] = (c0 + c0 * c0 * math.log(u[k] - 1.0)) / u[k]
+    for p in range(block, 2 * block):
+        icum[p + 1] = icum[p] + panel(p)
+    next_p = 2 * block
+    for k in range(2 * block + 1, n + 1):
+        f[k] = (c0 + c0 * icum[k - block]) / u[k]
+        while next_p < n:
+            r = next_p % block
+            need = next_p + 3 if r == 0 else (next_p + 1 if r == block - 1 else next_p + 2)
+            if need > k:
+                break
+            icum[next_p + 1] = icum[next_p] + panel(next_p)
+            next_p += 1
+    return np.array(f), np.array(icum)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, f"{differ.size} nodes differ, first at {differ[:5]}"
+
+
 class TestBatchedMarch:
     def test_bit_identical_to_stepwise_march(self, bundle):
         got = build_growth_fn(bundle.ratio).grid_values
-        want = _stepwise_growth_grid(bundle.ratio)
-        assert got.shape == want.shape
-        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-        assert differ.size == 0, f"{differ.size} nodes differ, first at {differ[:5]}"
+        _assert_same_bits(got, _stepwise_growth_grid(bundle.ratio))
+
+    @pytest.mark.parametrize(
+        "c0,blocks,fn,cum",
+        [
+            (1.0, OMEGA_BLOCKS, "buchstab", "buchstab_cum"),
+            (2.0, XI_BLOCKS, "ratio", "ratio_cum"),
+        ],
+        ids=["omega", "xi"],
+    )
+    def test_block_march_bit_identical_to_lazy_march(self, c0, blocks, fn, cum, bundle):
+        vals, icum = _reference_march_delay(c0, blocks, OMEGA_STEP_BITS)
+        _assert_same_bits(getattr(bundle, fn).grid_values, vals)
+        _assert_same_bits(getattr(bundle, cum).grid_values, icum)
 
 
 def _fresh_python(code):

@@ -18,7 +18,9 @@ from divmean.theta import (
     ThetaRule,
     _chain,
     _parents,
+    _phi_S,
     _primes_for_rule,
+    _rough_mask,
     b_rows,
     chain_stats_multi,
     dense_stats,
@@ -226,6 +228,17 @@ class TestRoughStats:
         assert st_.tau_sum == direct
         assert st_.count == len(members)
         assert st_.harmonic == pytest.approx(math.fsum(1.0 / np.array(members)), rel=1e-14)
+
+
+    def test_mask_counts_match_member_array(self):
+        # Phi and S read from the sieve mask against the member array: its
+        # length, and the hyperbola over searchsorted counts of x // a
+        for y in (2, 2.5, 3, 5, 7, 10.5, 31, 100, 3000):
+            for x in range(1, 3001):
+                rough = rough_members(x, y)
+                k = int(np.searchsorted(rough, math.isqrt(x), side="right"))
+                s = 2 * int(np.searchsorted(rough, x // rough[:k], side="right").sum()) - k * k
+                assert _phi_S(_rough_mask(x, y), x) == (len(rough), s), (x, y)
 
 
 class TestChainStats:
