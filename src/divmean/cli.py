@@ -156,24 +156,22 @@ def _cmd_stats(args):
     return 0
 
 
-def _verdict(ok):
-    return "PASS" if ok else "FAIL"
-
-
-def _rows_exit(rows, args):
-    text = rows_to_jsonl(rows) if args.json else rows_to_csv(rows)
-    ok = all(r.ok for r in rows)
-    _emit(text + _verdict(ok) + "\n", args.out)
+def _verdict(text, ok, args):
+    """Write text and a PASS or FAIL line; exit code 0 on PASS, 1 on FAIL."""
+    _emit(text + ("PASS" if ok else "FAIL") + "\n", args.out)
     return 0 if ok else 1
 
 
 def _cmd_verify(args):
-    if args.kind == "rough":
-        return _rows_exit(compare_rough(args.x, args.y), args)
-    if args.kind == "dense":
-        if args.t is None:
+    if args.kind in ("rough", "dense"):
+        if args.kind == "rough":
+            rows = compare_rough(args.x, args.y)
+        elif args.t is None:
             raise DivmeanError("dense verification needs --t")
-        return _rows_exit(compare_dense(args.x, args.t), args)
+        else:
+            rows = compare_dense(args.x, args.t)
+        text = rows_to_jsonl(rows) if args.json else rows_to_csv(rows)
+        return _verdict(text, all(r.ok for r in rows), args)
     if args.kind == "practical":
         pairs = fit_nu_practical(args.xs)
         lines = ["x,ratio"]
@@ -182,8 +180,7 @@ def _cmd_verify(args):
         ok = all(
             abs(b - a) / a < 0.10 for a, b in zip(ratios, ratios[1:])
         ) and all(r > 0 for r in ratios)
-        _emit("\n".join(lines) + f"\n{_verdict(ok)}\n", args.out)
-        return 0 if ok else 1
+        return _verdict("\n".join(lines) + "\n", ok, args)
     if args.kind == "L":
         rule = _theta_rule(args.theta, args.t)
         ns = sorted({max(2, args.n // 100), max(2, args.n // 10), args.n})
@@ -192,8 +189,7 @@ def _cmd_verify(args):
         ok = all(b >= a for a, b in zip(vals, vals[1:])) and all(
             0.0 < v <= 1.0 for v in vals
         )
-        _emit("\n".join(lines) + f"\n{_verdict(ok)}\n", args.out)
-        return 0 if ok else 1
+        return _verdict("\n".join(lines) + "\n", ok, args)
     if args.kind == "ctheta":
         rule = _theta_rule(args.theta, args.t)
         info = c_theta_breakdown(rule, args.n)
@@ -207,9 +203,7 @@ def _cmd_verify(args):
             f"gap = {fmt15(gap)}",
             f"negative_terms = {info['negative_terms']}",
         ]
-        ok = gap < 0.1
-        _emit("\n".join(lines) + f"\n{_verdict(ok)}\n", args.out)
-        return 0 if ok else 1
+        return _verdict("\n".join(lines) + "\n", gap < 0.1, args)
     # funceq: exact integer identity between direct sums and chain splits
     rule = _theta_rule(args.theta, args.t)
     res = verify_funceq(args.x, rule)
@@ -219,8 +213,7 @@ def _cmd_verify(args):
         f"tau_lhs = {res['tau_lhs']}",
         f"tau_rhs = {res['tau_rhs']}",
     ]
-    _emit("\n".join(lines) + f"\n{_verdict(res['exact'])}\n", args.out)
-    return 0 if res["exact"] else 1
+    return _verdict("\n".join(lines) + "\n", res["exact"], args)
 
 
 def _cmd_figures(args):
@@ -230,6 +223,18 @@ def _cmd_figures(args):
 
 def _add_out(p):
     p.add_argument("--out", "-o", default=None, help="output file (default stdout)")
+
+
+def _add_family(p):
+    """kind, cutoff and family parameters shared by enumerate and stats."""
+    p.add_argument("kind", choices=["rough", "dense", "practical"])
+    p.add_argument("--x", type=int, required=True, help="upper cutoff")
+    p.add_argument(
+        "--y", type=_finite_float, default=None, help="roughness bound (rough)"
+    )
+    p.add_argument(
+        "--t", type=_fraction, default=None, help="density ratio bound (dense)"
+    )
 
 
 def _parser():
@@ -259,14 +264,7 @@ def _parser():
     pf.set_defaults(fn=_cmd_fn)
 
     pe = sub.add_parser("enumerate", help="stream sequence members, one per line")
-    pe.add_argument("kind", choices=["rough", "dense", "practical"])
-    pe.add_argument("--x", type=int, required=True, help="upper cutoff")
-    pe.add_argument(
-        "--y", type=_finite_float, default=None, help="roughness bound (rough)"
-    )
-    pe.add_argument(
-        "--t", type=_fraction, default=None, help="density ratio bound (dense)"
-    )
+    _add_family(pe)
     pe.add_argument(
         "--threads",
         type=int,
@@ -277,14 +275,7 @@ def _parser():
     pe.set_defaults(fn=_cmd_enumerate)
 
     ps = sub.add_parser("stats", help="count, tau sum, harmonic sum at a cutoff")
-    ps.add_argument("kind", choices=["rough", "dense", "practical"])
-    ps.add_argument("--x", type=int, required=True, help="upper cutoff")
-    ps.add_argument(
-        "--y", type=_finite_float, default=None, help="roughness bound (rough)"
-    )
-    ps.add_argument(
-        "--t", type=_fraction, default=None, help="density ratio bound (dense)"
-    )
+    _add_family(ps)
     _add_out(ps)
     ps.set_defaults(fn=_cmd_stats)
 

@@ -28,7 +28,6 @@ from .errors import ContourError, PoleError, RangeError, SolverError
 from .funcs import (
     EXP_NEG_2GAMMA,
     EXP_NEG_GAMMA,
-    EULER_GAMMA,
     _merge_edges,
     _panel_nodes,
     _quad_sum,
@@ -47,7 +46,7 @@ B0 = EXP_NEG_2GAMMA
 B1 = 2.0 * EXP_NEG_2GAMMA
 
 
-def _check_not_pole(s):
+def _refuse_pole(s):
     if abs(s) < _POLE_EPS or abs(s - 1.0) < _POLE_EPS:
         raise PoleError(f"s = {s} is a pole of the continuation")
 
@@ -86,12 +85,12 @@ class GEvaluator:
         return integral - EXP_NEG_2GAMMA / s**2 - EXP_NEG_2GAMMA / (s - 1.0) ** 2
 
     def g(self, s):
-        _check_not_pole(complex(s))
+        _refuse_pole(complex(s))
         out = complex(self.g_many(s)[0])
         return out.real if np.isrealobj(np.asarray(s)) else out
 
     def g_prime(self, s):
-        _check_not_pole(complex(s))
+        _refuse_pole(complex(s))
         out = complex(self.g_prime_many(s)[0])
         return out.real if np.isrealobj(np.asarray(s)) else out
 
@@ -238,7 +237,7 @@ def Q_eval(s):
     """
     from scipy.special import exp1
 
-    _check_not_pole(complex(s))
+    _refuse_pole(complex(s))
     eps = 1e-3
     # [0, eps] exactly from the Taylor head of the regularized integrand
     c0, c1, c2 = 1.5 * B0 - 1.0, (4.0 / 9.0) * B0, -(1.0 / 144.0) * B0

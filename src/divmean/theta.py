@@ -37,7 +37,7 @@ ROUGH_LIMIT = 1 << 27
 MEMBER_LIMIT = 1 << 26
 SUBSET_SUM_LIMIT = 10**6
 CUSTOM_ENUM_LIMIT = 10**6
-_CHUNK = 1 << 16  # elements per tolist() chunk of a long float sum
+_CHUNK = 1 << 16  # sieve-mask entries per chunk of the rough harmonic sum
 
 
 @dataclass(frozen=True)
@@ -235,9 +235,8 @@ def _theta_floors(rule, x, ns, sgs):
     return np.array([x if f is None else f for f in floors], dtype=np.int64)
 
 
-def _tally(rule, cuts):
-    """SeqStats of B at each ascending cutoff from one walk to the largest."""
-    recs, parr = _chain(rule, cuts[-1])
+def _tally(recs, parr, cuts):
+    """SeqStats of B at each ascending cutoff from the parent records of one walk."""
     ns, tus, lo, hi = recs[:, 0], recs[:, 2], recs[:, 3], recs[:, 4]
     out = []
     for c in cuts:
@@ -261,7 +260,7 @@ def chain_stats_multi(rule, cutoffs):
     cuts = sorted(int(c) for c in cutoffs)
     if not cuts or cuts[0] < 1:
         raise RangeError("cutoffs must be positive integers")
-    return _tally(rule, cuts)
+    return _tally(*_chain(rule, cuts[-1]), cuts)
 
 
 def b_rows(rule, x):
@@ -317,18 +316,20 @@ def rough_stats(x, y):
     """Exact Phi(x,y), S(x,y), and the rough harmonic sum (n=1 included)."""
     odd = _rough_mask(x, y)
     phi, tau_sum = _phi_S(odd, x)
-    rough = np.flatnonzero(odd) * 2 + 1
-    chunks = ((1.0 / rough[i : i + _CHUNK]).tolist() for i in range(0, phi, _CHUNK))
+    chunks = (
+        (1.0 / (2 * (np.flatnonzero(odd[i : i + _CHUNK]) + i) + 1)).tolist()
+        for i in range(0, len(odd), _CHUNK)
+    )
     harm = math.fsum(itertools.chain.from_iterable(chunks))
     return SeqStats(x, phi, tau_sum, harm)
 
 
 def dense_stats(x, t):
-    return _tally(ThetaRule.dense(t), [x])[0]
+    return _tally(*_chain(ThetaRule.dense(t), x), [x])[0]
 
 
 def practical_stats(x):
-    return _tally(ThetaRule.practical(), [x])[0]
+    return _tally(*_chain(ThetaRule.practical(), x), [x])[0]
 
 
 def factor_nr(m, rule, table):
@@ -359,7 +360,9 @@ def verify_funceq(x, rule):
     """Exact identity: sum_{m<=x} f(m) = sum_{n in B(x)} f(n)(1 + inner sum).
 
     Inner sum runs over 2 <= r <= x/n with P-(r) > theta(n), the theta(n)-rough
-    r: Phi(x/n, theta(n)) - 1 of them with tau sum S(x/n, theta(n)) - 1.
+    r: Phi(x/n, theta(n)) - 1 of them with tau sum S(x/n, theta(n)) - 1.  It is
+    empty unless theta(n) < x//n, which no leaf n*p meets: p*p > x//n, so
+    theta(n*p) >= p > x//(n*p).  So the parent records give every term.
     Checked for f = 1 and f = tau with integer arithmetic end to end.
     """
     if x < 1:
@@ -370,11 +373,12 @@ def verify_funceq(x, rule):
     root = isqrt(x)
     lhs_tau = 2 * int((x // np.arange(1, root + 1, dtype=np.int64)).sum()) - root * root
 
-    ns, taus, tfs = b_rows(rule, x)
-    rhs_tau = int(taus.sum())
-    rhs_count = len(ns)
-    # only rows with theta(n) < x//n can have an inner sum (theta >= 2 always)
+    recs, parr = _chain(rule, x)
+    (st,) = _tally(recs, parr, [x])
+    rhs_count, rhs_tau = st.count, st.tau_sum
+    ns, taus = recs[:, 0], recs[:, 2]
     zs = x // ns
+    tfs = _theta_floors(rule, x, ns, recs[:, 1])
     inner = tfs < zs
     for z, w, tu in zip(*(a[inner].tolist() for a in (zs, tfs, taus))):
         phi, tau_sum = _phi_S(_rough_mask(z, w), z)

@@ -192,8 +192,8 @@ class TestVerify:
 
     def test_funceq_above_rough_limit_refused_before_walk(self, capsys, monkeypatch):
         calls = []
-        walk = theta.b_rows
-        monkeypatch.setattr(theta, "b_rows", lambda *a: calls.append(a) or walk(*a))
+        walk = theta._chain
+        monkeypatch.setattr(theta, "_chain", lambda *a: calls.append(a) or walk(*a))
         monkeypatch.setattr(theta, "ROUGH_LIMIT", 10**4)
         code, out, err = run(["verify", "funceq", "--x", "100000"], capsys)
         assert code == 2

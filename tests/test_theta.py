@@ -3,6 +3,7 @@
 import io
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -194,6 +195,19 @@ class TestRoughStats:
         assert rough_members(1000, 1000).tolist() == [1]
         assert rough_stats(1000, 500).count == 1 + 168 - 95
 
+    def test_harmonic_sum_keeps_near_the_mask(self):
+        # the harmonic sum reads the sieve mask a chunk at a time: listing the
+        # 2^21 members as int64 alone would take 8x the mask
+        x = 1 << 22
+        tracemalloc.start()
+        try:
+            st_ = rough_stats(x, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st_.count == x // 2
+        assert peak < 4 * ((x + 1) // 2)
+
     def test_domain_errors(self, monkeypatch):
         with pytest.raises(RangeError):
             rough_stats(0, 5)
@@ -343,8 +357,12 @@ class TestCountingIdentity:
         [ThetaRule.practical(), *(ThetaRule.dense(t) for t in (2, "5/2", 100))],
         ids=lambda r: r.name,
     )
-    def test_matches_reference_loop(self, x, rule, spf_1e6):
-        assert verify_funceq(x, rule) == _reference_funceq(x, rule, spf_1e6)
+    def test_matches_reference_loop(self, x, rule, spf_1e6, monkeypatch):
+        want = _reference_funceq(x, rule, spf_1e6)
+        assert verify_funceq(x, rule) == want
+        # the identity reads parent records only and never lists B(x)
+        monkeypatch.setattr("divmean.theta.MEMBER_LIMIT", 1)
+        assert verify_funceq(x, rule) == want
 
 
 def _bulk_tau(x):
