@@ -172,6 +172,8 @@ def _cmd_verify(args):
             rows = compare_dense(args.x, args.t)
         text = rows_to_jsonl(rows) if args.json else rows_to_csv(rows)
         return _verdict(text, all(r.ok for r in rows), args)
+    if args.json:
+        raise DivmeanError(f"verify {args.kind} has no --json output")
     if args.kind == "practical":
         pairs = fit_nu_practical(args.xs)
         lines = ["x,ratio"]
@@ -307,7 +309,7 @@ def _parser():
         default=None,
         help="count cutoff for the ctheta cross-check (default 10*n)",
     )
-    pv.add_argument("--json", action="store_true", help="JSON-lines rows")
+    pv.add_argument("--json", action="store_true", help="JSON-lines rows (rough, dense)")
     _add_out(pv)
     pv.set_defaults(fn=_cmd_verify)
 

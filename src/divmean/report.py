@@ -7,6 +7,7 @@ to and the slack multiplier applied when judging it, so tightening a bound
 later is a data change, not a code change.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -18,11 +19,12 @@ from ._util import fmt15
 from .constants import lambda1_closed_form, refine_zero
 from .errors import ConfigError, RangeError
 from .funcs import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, get_bundle
-from .sieve import build_prime_list
+from .sieve import build_prime_list, prime_sums
 from .theta import ThetaRule, b_rows, chain_stats_multi, dense_stats, rough_stats
 
 DEFAULT_SLACK = 5.0
 GRID_POINT_LIMIT = 10**6  # rows of one tabulated function or figure
+_CHUNK = 1 << 16  # series terms per list handed to fsum
 # default (from, to, step) of each figure's grid
 FIGURE_GRIDS = {"fig1": (1.0, 15.0, 0.25), "fig2": (0.0, 50.0, 0.5)}
 
@@ -197,7 +199,7 @@ def fit_nu_practical(xs):
 def L_partial_multi(rule, cutoffs):
     """Partial sums of the tau-weighted squared-Mertens series, one per cutoff.
 
-    One walk and one prime list at the largest cutoff serve every cutoff:
+    One walk and one prime walk to the largest theta serve every cutoff:
     B(N) is the prefix of its rows with n <= N, each term depends on n alone,
     and fsum is correctly rounded, so each value has the bits of its own walk.
     The one exception is a custom rule with an infinite theta, whose Mertens
@@ -206,9 +208,19 @@ def L_partial_multi(rule, cutoffs):
     if not cutoffs or min(cutoffs) < 1:
         raise RangeError("cutoffs must be positive integers")
     ns, taus, tf = b_rows(rule, max(cutoffs))
-    m = build_prime_list(max(2, int(tf.max()))).mertens_many(tf)
-    terms = (taus.astype(np.float64) / ns.astype(np.float64) * m * m).tolist()
-    return [math.fsum(terms[: np.searchsorted(ns, N, "right")]) for N in cutoffs]
+    m = np.exp(prime_sums(tf, _log_mertens)[0])
+    terms = taus.astype(np.float64) / ns.astype(np.float64) * m * m
+    return [_fsum(terms[: np.searchsorted(ns, N, "right")]) for N in cutoffs]
+
+
+def _log_mertens(p):
+    return np.log1p(-1.0 / p)
+
+
+def _fsum(a):
+    """math.fsum over the entries of a, listed one chunk at a time."""
+    chunks = (a[i : i + _CHUNK].tolist() for i in range(0, a.size, _CHUNK))
+    return math.fsum(itertools.chain.from_iterable(chunks))
 
 
 def L_partial(rule, N):
@@ -222,12 +234,11 @@ def c_theta_breakdown(rule, N):
     Positivity of the summands (for theta(n) >= n) is an observation, not a
     guarantee at finite cutoff, so violations are reported rather than raised.
     """
-    ns, taus, tf = b_rows(rule, N)
-    del taus
-    pl = build_prime_list(max(2, int(tf.max())))
+    ns, tf = b_rows(rule, N)[::2]
+    logp, logm = prime_sums(tf, lambda p: np.log(p) / (p - 1.0), _log_mertens)
     nf = ns.astype(np.float64)
-    terms = (pl.logp_pm1_many(tf) - np.log(nf)) * pl.mertens_many(tf) / nf
-    value = float(math.fsum(terms.tolist())) / (1.0 - EXP_NEG_GAMMA)
+    terms = (logp - np.log(nf)) * np.exp(logm) / nf
+    value = _fsum(terms) / (1.0 - EXP_NEG_GAMMA)
     big_theta = tf >= ns
     negative = terms < -1e-12
     return {

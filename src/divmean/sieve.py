@@ -17,6 +17,10 @@ from .errors import RangeError, ResourceError
 # sieve entries, not bytes: at the cap ~0.5 GB for the int32 spf table and
 # ~0.13 GB for the bool prime sieve
 DEFAULT_SPF_BUDGET = 1 << 27
+# prime_sums holds one block at a time, so this bounds its time (about 40 s), not its
+# memory; theta at the practical MEMBER_LIMIT stays below it (about 5e9)
+PRIME_WALK_LIMIT = 1 << 33
+_BLOCK = 1 << 20  # odd numbers per block of prime_sums
 
 
 class SpfTable:
@@ -108,13 +112,7 @@ def divisors_sorted(n, table):
 
 
 class PrimeList:
-    """All primes <= limit, with Mertens products and sums at cutoffs y <= limit.
-
-    A bulk query builds one sequential longdouble prefix over the primes and
-    reads it at pi(y) for every cutoff, because report-scale runs take
-    millions of cutoffs; the scalar mertens goes through exact compensated
-    summation instead.
-    """
+    """All primes <= limit, with the Mertens product at one cutoff; prime_sums takes many."""
 
     __slots__ = ("primes", "limit")
 
@@ -133,37 +131,6 @@ class PrimeList:
             return 1.0
         terms = np.log1p(-1.0 / self.primes[:k].astype(np.float64))
         return math.exp(math.fsum(terms))
-
-    def _pi_many(self, ys):
-        """pi(floor(y)) for an array of cutoffs, searched in sorted order."""
-        ys = np.asarray(ys)
-        if ys.size and float(ys.max(initial=0.0)) > self.limit:
-            raise RangeError("cutoff beyond prime list limit")
-        keys = np.floor(ys).astype(np.int64).ravel()
-        # sorted queries walk the prime array once instead of jumping around it
-        order = np.argsort(keys)
-        idx = np.empty_like(order)
-        idx[order] = np.searchsorted(self.primes, keys[order], side="right")
-        return idx.reshape(ys.shape)
-
-    def _sums_to(self, terms, ys):
-        """sum of terms[:pi(y)] for each cutoff y, one term per prime."""
-        # prefix before the pi lookups: the other order lifts the peak RSS of
-        # verify L --n 1e7 from 178 to 209 MB (x86-64, glibc malloc)
-        cum = np.empty(terms.size + 1, dtype=np.longdouble)
-        cum[0] = 0.0
-        np.cumsum(terms, dtype=np.longdouble, out=cum[1:])
-        return cum[self._pi_many(ys)].astype(np.float64)
-
-    def mertens_many(self, ys):
-        """Vectorized prod_{p<=y}(1-1/p) for an array of cutoffs."""
-        t = -1.0 / self.primes
-        return np.exp(self._sums_to(np.log1p(t, out=t), ys))
-
-    def logp_pm1_many(self, ys):
-        """Vectorized sum_{p<=y} log(p)/(p-1)."""
-        p = self.primes.astype(np.float64)
-        return self._sums_to(np.log(p) / (p - 1.0), ys)
 
     def verify_against(self, table):
         """Completeness check versus an SpfTable (on the overlap)."""
@@ -199,3 +166,42 @@ def build_prime_list(limit):
     odd[0] = False
     primes = np.flatnonzero(odd) * 2 + 1
     return PrimeList(np.concatenate(([2], primes), dtype=np.int64), limit)
+
+
+def prime_sums(ys, *terms):
+    """sum_{p <= y} f(p) at every cutoff y of ys: one float64 array per f, shaped as ys.
+
+    The odd numbers up to max floor(y) are sieved in blocks of _BLOCK by the
+    primes up to its square root.  f maps a block's primes (float64) to terms,
+    added in longdouble in ascending p and seeded with the last sum of the
+    block before, so every sum has the bits of one cumsum over all the primes.
+    """
+    keys = np.floor(ys).astype(np.int64, copy=False).ravel()
+    top = int(keys.max(initial=0))
+    if top + 1 > PRIME_WALK_LIMIT:
+        raise ResourceError(f"prime sieve of {top + 1} entries exceeds budget {PRIME_WALK_LIMIT}")
+    order = np.argsort(keys)
+    keys = keys[order]
+    base = build_prime_list(max(2, isqrt(top))).primes[1:]
+    sums = [np.empty(keys.size) for _ in terms]
+    carry = [0.0] * len(terms)
+    a = 0
+    for lo in range(0, top + 1, 2 * _BLOCK):
+        hi = min(lo + 2 * _BLOCK, top + 1)
+        odd = np.ones((hi - lo) // 2, dtype=bool)  # entry i stands for lo + 2i + 1
+        for p in base[: np.searchsorted(base, isqrt(hi - 1), "right")].tolist():
+            # i = (lo+1)(p-1)/2 mod p solves lo + 2i + 1 = 0 mod p; strikes start at p*p
+            odd[max((p * p - lo - 1) // 2, (lo + 1) * (p - 1) // 2 % p) :: p] = False
+        ps = np.flatnonzero(odd) * 2 + (lo + 1)
+        if lo == 0:
+            ps[:1] = 2  # 1 survives the sieve; 2 takes its place
+        b = int(np.searchsorted(keys, hi))
+        idx = np.searchsorted(ps, keys[a:b], side="right")  # the floors in [lo, hi)
+        for j, f in enumerate(terms):
+            cum = np.empty(ps.size + 1, dtype=np.longdouble)
+            cum[0] = carry[j]
+            cum[1:] = f(ps.astype(np.float64))
+            carry[j] = np.cumsum(cum, out=cum)[-1]
+            sums[j][order[a:b]] = cum[idx]
+        a = b
+    return [s.reshape(np.shape(ys)) for s in sums]

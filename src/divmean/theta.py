@@ -269,11 +269,12 @@ def b_rows(rule, x):
     lens, p = _leaves(recs, parr)
     n, sg, tu = recs[:, 0], recs[:, 1], recs[:, 2]
     ns = np.concatenate([n, np.repeat(n, lens) * p])
-    taus = np.concatenate([tu, np.repeat(2 * tu, lens)])
-    sgs = np.concatenate([sg, np.repeat(sg, lens) * (p + 1)])
-    thetas = _theta_floors(rule, x, ns, sgs)
     order = np.argsort(ns)  # members are distinct, so any sort gives this order
-    return ns[order], taus[order], thetas[order]
+    ns = ns[order]  # one unsorted column at a time; floors are elementwise
+    taus = np.concatenate([tu, np.repeat(2 * tu, lens)])[order]
+    sgs = np.concatenate([sg, np.repeat(sg, lens) * (p + 1)])[order]
+    del order, p  # row-length arrays, freed before the floors are built
+    return ns, taus, _theta_floors(rule, x, ns, sgs)
 
 
 def _rough_mask(x, y):

@@ -53,3 +53,24 @@ def bundle():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260817)
+
+
+@pytest.fixture(scope="session")
+def full_list_sums():
+    """sum_{p<=y} f(p) as one longdouble cumsum over every prime <= max y.
+
+    The reference for sieve.prime_sums: the bulk path of the prime list
+    before it was segmented, which kept all the primes and the whole prefix.
+    """
+    from divmean import build_prime_list
+
+    def sums(ys, f):
+        ys = np.asarray(ys)
+        primes = build_prime_list(max(2, int(np.floor(ys).max()))).primes
+        cum = np.empty(primes.size + 1, dtype=np.longdouble)
+        cum[0] = 0.0
+        np.cumsum(f(primes.astype(np.float64)), dtype=np.longdouble, out=cum[1:])
+        pi = np.searchsorted(primes, np.floor(ys).astype(np.int64), side="right")
+        return cum[pi].astype(np.float64)
+
+    return sums

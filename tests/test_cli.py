@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts on stdout, diagnostics on stderr, exit codes."""
 
 import json
+import math
 import os
 import platform
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from divmean import cli, report, theta
+from divmean import cli, report, sieve, theta
 from divmean.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -255,26 +256,45 @@ class TestVerify:
         assert err.splitlines() == ["error: cutoffs must be positive integers"]
 
     def test_series_ladder_walks_once(self, capsys, monkeypatch):
-        # three cutoffs share one walk; primes are sieved once for the chain
-        # and once up to the largest theta
-        calls = {"b_rows": 0, "build_prime_list": 0}
+        # three cutoffs share one walk; the Mertens sums list no prime above
+        # the square root of the largest theta
+        calls = {"b_rows": [], "build_prime_list": []}
 
-        def counted(mod, name):
+        def recorded(mod, name):
             fn = getattr(mod, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+                result = fn(*args, **kwargs)
+                calls[name].append((mod.__name__, args, result))
+                return result
 
             monkeypatch.setattr(mod, name, wrapper)
 
-        counted(report, "b_rows")
-        counted(report, "build_prime_list")
-        counted(theta, "build_prime_list")
+        recorded(report, "b_rows")
+        for mod in (report, sieve, theta):
+            recorded(mod, "build_prime_list")
         code, out, _ = run(["verify", "L", "--theta", "practical", "--n", "100000"], capsys)
         assert code == 0
         assert len(out.splitlines()) == 5
-        assert calls == {"b_rows": 1, "build_prime_list": 2}
+        ((_, _, (_, _, tf)),) = calls["b_rows"]
+        limits = [(mod, args[0]) for mod, args, _ in calls["build_prime_list"]]
+        # theta's list serves the chain walk, sieve's the base primes of the blocks
+        assert sorted(mod for mod, _ in limits) == ["divmean.sieve", "divmean.theta"]
+        assert dict(limits)["divmean.sieve"] <= math.isqrt(int(tf.max())) + 1
+
+    def test_series_above_old_sieve_budget(self, capsys):
+        # max theta is about 1.4e8, past the 2^27 entries a full prime list may hold
+        code, out, err = run(["verify", "L", "--theta", "practical", "--n", "30000000"], capsys)
+        assert code == 0, err
+        assert out.splitlines()[0] == "N,L_partial"
+        assert out.splitlines()[-1] == "PASS"
+
+    @pytest.mark.parametrize("kind", ["L", "ctheta", "practical", "funceq"])
+    def test_json_without_json_rows_is_usage_error(self, kind, capsys):
+        code, out, err = run(["verify", kind, "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: verify {kind} has no --json output"]
 
     @pytest.mark.parametrize("n", ["0", "-5"])
     def test_series_nonpositive_n_is_usage_error(self, n, capsys):
@@ -284,7 +304,7 @@ class TestVerify:
         assert err == "error: cutoffs must be positive integers\n"
 
     def test_series_sieve_over_budget(self, capsys):
-        # theta(2) = 2e8 needs a prime sieve above the budget; refused before allocating
+        # theta(100) = 1e10 lies past the prime walk budget; refused before sieving
         code, out, err = run(
             ["verify", "L", "--theta", "dense", "--t", "100000000", "--n", "100"], capsys
         )

@@ -15,6 +15,10 @@ from divmean.sieve import build_prime_list
 from divmean.theta import ThetaRule, b_rows
 
 
+def _log_mertens(p):
+    return np.log1p(-1.0 / p)
+
+
 class TestEstimates:
     def test_fractional_y_covers_ceil(self):
         # regression: the prime list must reach ceil(y), not floor(y)
@@ -161,20 +165,41 @@ class TestLPartial:
         )
 
     @pytest.mark.parametrize("rule", [ThetaRule.practical(), ThetaRule.dense(2)])
-    def test_multi_equals_each_cutoff_bitwise(self, rule):
+    def test_multi_equals_each_cutoff_bitwise(self, rule, full_list_sums):
         cuts = [10, 100, 10**3, 10**4, 10**5, 10**6]
         want = []
         for n in cuts:
-            # each cutoff on its own walk and a prime list sized for it
+            # each cutoff on its own walk and a full prime list sized for it
             ns, taus, tf = b_rows(rule, n)
-            m = build_prime_list(max(2, int(tf.max()))).mertens_many(tf)
+            m = np.exp(full_list_sums(tf, _log_mertens))
             want.append(math.fsum((taus / ns.astype(np.float64) * m * m).tolist()))
             assert R.L_partial(rule, n) == want[-1]
         assert R.L_partial_multi(rule, cuts) == want
         assert R.L_partial_multi(rule, cuts[::-1]) == want[::-1]
 
+    @pytest.mark.parametrize("rule", [ThetaRule.practical(), ThetaRule.dense(2)])
+    def test_ladder_to_1e7_equals_full_list_bitwise(self, rule, full_list_sums):
+        ns, taus, tf = b_rows(rule, 10**7)
+        m = np.exp(full_list_sums(tf, _log_mertens))
+        terms = (taus / ns.astype(np.float64) * m * m).tolist()
+        cuts = [10**5, 10**6, 10**7]
+        want = [math.fsum(terms[: np.searchsorted(ns, n, "right")]) for n in cuts]
+        assert R.L_partial_multi(rule, cuts) == want
+
 
 class TestCTheta:
+    @pytest.mark.parametrize("rule", [ThetaRule.practical(), ThetaRule.dense(2)])
+    @pytest.mark.parametrize("n", [10**3, 10**7])
+    def test_breakdown_equals_full_list_bitwise(self, rule, n, full_list_sums):
+        ns, _, tf = b_rows(rule, n)
+        nf = ns.astype(np.float64)
+        logp = full_list_sums(tf, lambda p: np.log(p) / (p - 1.0))
+        terms = (logp - np.log(nf)) * np.exp(full_list_sums(tf, _log_mertens)) / nf
+        info = R.c_theta_breakdown(rule, n)
+        assert info["value"] == math.fsum(terms.tolist()) / (1.0 - EXP_NEG_GAMMA)
+        assert info["min_term"] == terms.min()
+        assert info["terms"] == terms.size
+
     def test_builtin_rules_have_positive_terms(self):
         for rule in (ThetaRule.practical(), ThetaRule.dense(2)):
             info = R.c_theta_breakdown(rule, 10**5)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,9 +15,19 @@ from divmean import (
     sigma,
     tau,
 )
-from divmean.sieve import DEFAULT_SPF_BUDGET
+from divmean import sieve
+from divmean.sieve import DEFAULT_SPF_BUDGET, PRIME_WALK_LIMIT, prime_sums
+from divmean.theta import ThetaRule, b_rows
 
 E_GAMMA = math.exp(-np.euler_gamma)
+
+
+def _log_mertens(p):
+    return np.log1p(-1.0 / p)
+
+
+def _log_pm1(p):
+    return np.log(p) / (p - 1.0)
 
 
 def test_spf_examples():
@@ -163,15 +174,15 @@ def test_mertens_envelope(primes_1e5):
 
 def test_mertens_many_matches_scalar(primes_1e5):
     ys = np.array([2.0, 10.0, 97.0, 1000.0, 99991.0])
-    bulk = primes_1e5.mertens_many(ys)
-    for y, b in zip(ys, bulk):
+    (bulk,) = prime_sums(ys, _log_mertens)
+    for y, b in zip(ys, np.exp(bulk)):
         assert abs(b - primes_1e5.mertens(float(y))) < 1e-13
 
 
-def test_logp_pm1_identity(primes_1e5):
+def test_logp_pm1_identity():
     # sum_{p<=y} log p/(p-1) = log y - gamma + o(1); loose structural check
-    got = primes_1e5.logp_pm1_many(np.array([10**5.0]))[0]
-    assert abs(got - (math.log(10**5) - np.euler_gamma)) < 0.01
+    (got,) = prime_sums(np.array([10**5.0]), _log_pm1)
+    assert abs(got[0] - (math.log(10**5) - np.euler_gamma)) < 0.01
 
 
 def test_prime_list_vs_spf(spf_1e5):
@@ -203,6 +214,7 @@ def test_odd_sieve_matches_plain_sieve():
 
 
 def test_sorted_pi_lookup_matches_unsorted(primes_1e5, rng):
+    # a term of 1 per prime makes each sum pi(floor(y)), exactly
     primes = primes_1e5.primes
     # keys that repeat, fall exactly on primes or next to them, in random order
     keys = np.concatenate(
@@ -212,6 +224,41 @@ def test_sorted_pi_lookup_matches_unsorted(primes_1e5, rng):
     rng.shuffle(keys)
     for ys in (keys, keys.astype(np.float64) + 0.5, keys[:0], keys[:600].reshape(20, 30), 97.0):
         want = np.searchsorted(primes, np.floor(ys).astype(np.int64), side="right")
-        got = primes_1e5._pi_many(ys)
+        (got,) = prime_sums(ys, np.ones_like)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rule", [ThetaRule.practical(), ThetaRule.dense(2), ThetaRule.dense(Fraction(5, 2))])
+@pytest.mark.parametrize("n", [10, 10**3, 10**5, 10**6])
+def test_prime_sums_match_full_list(rule, n, full_list_sums):
+    # the theta floors of a series walk, read bit for bit as the full list did
+    tf = b_rows(rule, n)[2]
+    got = prime_sums(tf, _log_mertens, _log_pm1)
+    assert np.array_equal(got[0], full_list_sums(tf, _log_mertens))
+    assert np.array_equal(got[1], full_list_sums(tf, _log_pm1))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 500])
+def test_prime_sums_tiny_blocks(block, monkeypatch, full_list_sums, rng):
+    monkeypatch.setattr(sieve, "_BLOCK", block)
+    top = 20_000  # even: the last floors lie past the last odd number
+    edges = np.arange(0, top, 2 * block)
+    ps = build_prime_list(top).primes
+    ys = np.concatenate(
+        [edges - 1, edges, edges + 1, ps, ps - 1, ps + 1, [-1, 0, 1, top - 1, top, top]]
+    )
+    ys = ys[ys <= top]
+    rng.shuffle(ys)
+    for f in (_log_mertens, _log_pm1):
+        (got,) = prime_sums(ys, f)
+        assert np.array_equal(got, full_list_sums(ys, f))
+    # below 2 no prime is taken: the empty product is exactly 1
+    (low,) = prime_sums(np.array([1, 0, -1, 1]), _log_mertens)
+    assert np.exp(low).tolist() == [1.0, 1.0, 1.0, 1.0]
+
+
+def test_prime_walk_budget():
+    # refused before the first block is sieved
+    with pytest.raises(ResourceError):
+        prime_sums(np.array([2, PRIME_WALK_LIMIT]), _log_mertens)
