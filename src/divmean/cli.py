@@ -18,7 +18,7 @@ from .constants import (
     find_delta_via_g,
     lambda0_via_I,
     lambda1_closed_form,
-    refine_zero,
+    root_certificate,
 )
 from .errors import DivmeanError
 from .report import (
@@ -93,9 +93,9 @@ def _cmd_constants(args):
         return 0
     cert_g = find_delta_via_g(args.v)
     cert_q = find_delta_via_Q()
-    cert_full = refine_zero(0.7136125)
-    pair = refine_zero(-1.962 + 11.575j)
-    minus1 = refine_zero(-1.0)
+    cert_full = root_certificate("delta")
+    pair = root_certificate("pair")
+    minus1 = root_certificate("minus_one")
     lines = [
         f"delta via g (V={fmt15(args.v)}) = {fmt15(cert_g.location.real)}",
         f"delta via transform = {fmt15(cert_q.location.real)}",

@@ -185,14 +185,14 @@ def find_delta_via_g(V=6.0):
     """Positive root of g by bisection on (0.1, 0.9), certified by winding."""
     ev = _evaluator(V=V)
     root = _bisect_real_root(ev.g, 0.1, 0.9)
-    residue = 1.0 / (root * (root - 1.0) * ev.g_prime(root))
     return _certificate(
-        ev, root, abs(ev.g(root)), residue, "real-bisection", V, _BISECT_HALF
+        ev, root, abs(ev.g(root)), ev.g_prime(root), "real-bisection", V, _BISECT_HALF
     )
 
 
-def _certificate(walk_ev, root, residual, residue, method, truncation_V, half):
-    """Certify root by winding number 1 on the square root +- half*(1+1j)."""
+def _certificate(walk_ev, root, residual, gp, method, truncation_V, half):
+    """Certify root by winding number 1 on the square root +- half*(1+1j); gp is g'(root)."""
+    residue = 1.0 / (root * (root - 1.0) * gp)
     lo, hi = root - half * (1 + 1j), root + half * (1 + 1j)
     winding, _ = _rect_walk(walk_ev, lo, hi)
     if winding != 1:
@@ -275,9 +275,8 @@ def find_delta_via_Q():
     h = 1e-6
     qp = (Q_eval(root + h) - Q_eval(root - h)) / (2.0 * h)
     gp = (root + 1.0) * qp / (2.0 * math.gamma(root + 1.0))
-    residue = 1.0 / (root * (root - 1.0) * gp)
     return _certificate(
-        _full_ev(), root, abs(Q_eval(root)), residue, "real-bisection", None, _BISECT_HALF
+        _full_ev(), root, abs(Q_eval(root)), gp, "real-bisection", None, _BISECT_HALF
     )
 
 
@@ -403,16 +402,17 @@ def refine_zero(seed):
     if residual > 1e-10:
         raise SolverError(f"refined residual {residual} above 1e-10")
     gp = complex(ev.g_prime_many(root)[0])
-    residue = 1.0 / (root * (root - 1.0) * gp)
-    return _certificate(ev, root, residual, residue, method, ev.truncation_V, _REFINE_HALF)
+    return _certificate(ev, root, residual, gp, method, ev.truncation_V, _REFINE_HALF)
 
 
-def residue_at(target):
-    """Residue of 1/(s(s-1)g(s)) at a simple root of g."""
-    s0 = target.location if isinstance(target, RootCertificate) else complex(target)
-    gp = complex(_full_ev().g_prime_many(s0)[0])
-    res = 1.0 / (s0 * (s0 - 1.0) * gp)
-    return res
+_ROOT_SEEDS = {"delta": 0.7136125, "minus_one": -1.0, "pair": -1.962 + 11.575j}
+
+
+@cache
+def root_certificate(name):
+    """Certificate of the root of g named "delta", "minus_one" (behind lambda1) or
+    "pair" (the upper root of the first complex pair), refined on its first read."""
+    return refine_zero(_ROOT_SEEDS[name])
 
 
 def lambda1_closed_form():
@@ -427,7 +427,7 @@ def lambda0_via_I(delta=None):
     root-certificate route: same root, different integral.
     """
     if delta is None:
-        delta = refine_zero(0.7136125).location.real
+        delta = root_certificate("delta").location.real
     xi = get_bundle().ratio
     v_hi = xi.grid_end
     edges = _merge_edges(list(range(0, int(v_hi) + 1)), 0.0, v_hi)
@@ -440,20 +440,29 @@ def lambda0_via_I(delta=None):
     return 1.0 / (delta * (delta - 1.0) * big_i)
 
 
+def ratio_prime(us):
+    """ratio_fn' by u*f'(u) = 2*f(u-1) - f(u): zero below 1, the limit from above at kinks."""
+    xi = get_bundle().ratio
+    us = np.asarray(us, dtype=float)
+    out = np.zeros(us.shape)
+    m = us >= 1.0
+    out[m] = (2.0 * xi.eval_many(us[m] - 1.0) - xi.eval_many(us[m])) / us[m]
+    return out[()]
+
+
 def H_bound(sigma):
     """2^{1-sigma} + int_1^inf |ratio'(v) - e^{-2g}| (v+1)^{-sigma} dv."""
-    b = get_bundle()
-    xi = b.ratio
+    xi = get_bundle().ratio
     h = xi.grid_step
     u = xi.grid_start + np.arange(len(xi.grid_values)) * h
-    d = b.ratio_prime.eval_many(u) - EXP_NEG_2GAMMA
+    d = ratio_prime(u) - EXP_NEG_2GAMMA
     flips = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
     crossings = [
         float(u[i] + h * d[i] / (d[i] - d[i + 1])) for i in flips
     ]
     edges = _merge_edges(list(range(1, int(xi.grid_end) + 1)) + crossings, 1.0, xi.grid_end)
     nodes, wts = _panel_nodes(edges, _GL16, max_width=0.25)
-    vals = np.abs(b.ratio_prime.eval_many(nodes) - EXP_NEG_2GAMMA)
+    vals = np.abs(ratio_prime(nodes) - EXP_NEG_2GAMMA)
     total = float(_quad_sum(wts, vals * (nodes + 1.0) ** (-sigma)))
     return 2.0 ** (1.0 - sigma) + _tail_envelope(xi.grid_end, -sigma, total)
 
@@ -505,12 +514,9 @@ def zero_pole_census(V=6.0):
 
 def constants_document():
     """One deterministic bundle of every computed constant and margin."""
-    cert_delta = refine_zero(0.7136125)
-    cert_m1 = refine_zero(-1.0)
-    cert_pair = refine_zero(-1.962 + 11.575j)
+    cert_delta = root_certificate("delta")
+    cert_m1 = root_certificate("minus_one")
     delta = cert_delta.location.real
-    lam0_residue = cert_delta.residue.real
-    lam0_integral = lambda0_via_I(delta)
     doc = {
         "delta": {
             "value": delta,
@@ -520,14 +526,14 @@ def constants_document():
             "via_Q": find_delta_via_Q().location.real,
         },
         "lambda0": {
-            "via_residue": lam0_residue,
-            "via_integral": lam0_integral,
+            "via_residue": cert_delta.residue.real,
+            "via_integral": lambda0_via_I(delta),
         },
         "lambda1": {
             "via_residue": cert_m1.residue.real,
             "closed_form": lambda1_closed_form(),
         },
-        "complex_pair": cert_pair.as_json(),
+        "complex_pair": root_certificate("pair").as_json(),
         "certificates": {
             "delta": cert_delta.as_json(),
             "minus_one": cert_m1.as_json(),

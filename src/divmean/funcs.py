@@ -195,34 +195,6 @@ def build_ratio_fn():
     )
 
 
-class DelayDerivative:
-    """Derivative of ratio_fn via u*f'(u) = 2*f(u-1) - f(u).
-
-    Right-continuous: at the kinks u = 1 and u = 2 the returned value is
-    the one-sided limit from above (flagged_points records them).
-    """
-
-    def __init__(self, ratio):
-        self.name = "ratio_fn_prime"
-        self.ratio = ratio
-        self.err_budget = 1e-8
-        self.flagged_points = (1.0, 2.0)
-
-    def eval_many(self, us):
-        us = np.asarray(us, dtype=float)
-        scalar = us.ndim == 0
-        us = np.atleast_1d(us)
-        out = np.zeros(us.shape)
-        m = us >= 1.0
-        if m.any():
-            x = us[m]
-            out[m] = (2.0 * self.ratio.eval_many(x - 1.0) - self.ratio.eval_many(x)) / x
-        return out[0] if scalar else out
-
-    def __call__(self, u):
-        return float(self.eval_many(np.float64(u)))
-
-
 _GL12 = np.polynomial.legendre.leggauss(12)
 _GL20 = np.polynomial.legendre.leggauss(20)
 _EDGE_EPS = 1e-12  # panel edges closer than this are merged
@@ -425,10 +397,6 @@ class FnBundle:
     @property
     def ratio_cum(self):
         return self._ratio_tables[1]
-
-    @cached_property
-    def ratio_prime(self):
-        return DelayDerivative(self.ratio)
 
     @cached_property
     def growth(self):

@@ -11,12 +11,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
 from ._util import fmt15
-from .constants import lambda1_closed_form, refine_zero
+from .constants import lambda1_closed_form, root_certificate
 from .errors import ConfigError, RangeError
 from .funcs import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, get_bundle
 from .sieve import build_prime_list, prime_sums
@@ -29,10 +29,9 @@ _CHUNK = 1 << 16  # series terms per list handed to fsum
 FIGURE_GRIDS = {"fig1": (1.0, 15.0, 0.25), "fig2": (0.0, 50.0, 0.5)}
 
 
-@cache
 def growth_constants():
     """(exponent, leading, correction) of the dense tau-sum asymptote."""
-    cert = refine_zero(0.7136125)
+    cert = root_certificate("delta")
     return cert.location.real, cert.residue.real, lambda1_closed_form()
 
 
@@ -114,6 +113,7 @@ def rows_to_jsonl(rows):
     return "".join(json.dumps(r.as_dict(), sort_keys=True) + "\n" for r in rows)
 
 
+@lru_cache(maxsize=1)  # the three estimates of one compare_rough row set share it
 def _rough_terms(x, y):
     """The bundle, log y, u = log x / log y and prod_{p<=y}(1-1/p)."""
     if x < 1:
@@ -150,9 +150,8 @@ def estimate_harmonic(x, y):
 def compare_rough(x, y):
     """Rows for the rough count, tau sum, harmonic sum, and tau mean."""
     st = rough_stats(x, y)
-    b = get_bundle()
-    lx, ly = math.log(x), math.log(y)
-    u = lx / ly
+    b, ly, u, _ = _rough_terms(x, y)
+    lx = math.log(x)
     params = (("x", x), ("y", y))
     env_sieve = 1.0 / ly
     env_mean = 1.0 / max(lx, 1e-9) + math.exp(-math.sqrt(ly))

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import RangeError, ResourceError
 
-# sieve entries, not bytes: at the cap ~0.5 GB for the int32 spf table and
-# ~0.13 GB for the bool prime sieve
+# sieve entries, not bytes: at the cap 0.5 GiB for the int32 spf table and
+# 64 MiB for the odd-only bool prime sieve
 DEFAULT_SPF_BUDGET = 1 << 27
 # prime_sums holds one block at a time, so this bounds its time (about 40 s), not its
 # memory; theta at the practical MEMBER_LIMIT stays below it (about 5e9)
@@ -132,26 +132,26 @@ class PrimeList:
         terms = np.log1p(-1.0 / self.primes[:k].astype(np.float64))
         return math.exp(math.fsum(terms))
 
-    def verify_against(self, table):
-        """Completeness check versus an SpfTable (on the overlap)."""
-        lim = min(self.limit, table.limit)
-        mine = self.primes[self.primes <= lim]
-        theirs = table.primes[table.primes <= lim]
-        return mine.shape == theirs.shape and bool(np.all(mine == theirs))
 
-
-def odd_sieve(limit, bound):
-    """Bool mask over the odd numbers: entry i stands for 2*i + 1 <= limit.
+def odd_sieve(limit, bound, lo=0):
+    """Bool mask over the odd numbers: entry i stands for lo + 2*i + 1 <= limit, lo even.
 
     Each odd prime p <= bound strikes its odd multiples from p*p on, so what
     survives is 1, the odd primes, and the odd numbers with no prime factor
-    <= bound.
+    <= bound.  The block from 0 finds those primes in itself, a later block in
+    the block from 0 to bound.
     """
-    odd = np.ones((limit + 1) // 2, dtype=bool)
-    for i in range(1, (bound + 1) // 2):
-        if odd[i]:
+    odd = np.ones((limit - lo + 1) // 2, dtype=bool)
+    if lo:
+        base = np.flatnonzero(odd_sieve(bound, isqrt(bound)))[1:].tolist()
+    else:
+        base = range(1, (bound + 1) // 2)
+    for i in base:
+        if lo or odd[i]:
             p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
+            # from p*p, or below lo from k = (lo+1)(p-1)/2 mod p: lo + 2k + 1 = 0 mod p
+            q = p * p
+            odd[(q - lo - 1) // 2 if q > lo else (lo + 1) * (p - 1) // 2 % p :: p] = False
     return odd
 
 
@@ -171,10 +171,10 @@ def build_prime_list(limit):
 def prime_sums(ys, *terms):
     """sum_{p <= y} f(p) at every cutoff y of ys: one float64 array per f, shaped as ys.
 
-    The odd numbers up to max floor(y) are sieved in blocks of _BLOCK by the
-    primes up to its square root.  f maps a block's primes (float64) to terms,
-    added in longdouble in ascending p and seeded with the last sum of the
-    block before, so every sum has the bits of one cumsum over all the primes.
+    odd_sieve sieves the odd numbers up to max floor(y) in blocks of _BLOCK.  f
+    maps a block's primes (float64) to terms, added in longdouble in ascending p
+    and seeded with the last sum of the block before, so every sum has the bits
+    of one cumsum over all the primes.
     """
     keys = np.floor(ys).astype(np.int64, copy=False).ravel()
     top = int(keys.max(initial=0))
@@ -182,17 +182,12 @@ def prime_sums(ys, *terms):
         raise ResourceError(f"prime sieve of {top + 1} entries exceeds budget {PRIME_WALK_LIMIT}")
     order = np.argsort(keys)
     keys = keys[order]
-    base = build_prime_list(max(2, isqrt(top))).primes[1:]
     sums = [np.empty(keys.size) for _ in terms]
     carry = [0.0] * len(terms)
     a = 0
     for lo in range(0, top + 1, 2 * _BLOCK):
         hi = min(lo + 2 * _BLOCK, top + 1)
-        odd = np.ones((hi - lo) // 2, dtype=bool)  # entry i stands for lo + 2i + 1
-        for p in base[: np.searchsorted(base, isqrt(hi - 1), "right")].tolist():
-            # i = (lo+1)(p-1)/2 mod p solves lo + 2i + 1 = 0 mod p; strikes start at p*p
-            odd[max((p * p - lo - 1) // 2, (lo + 1) * (p - 1) // 2 % p) :: p] = False
-        ps = np.flatnonzero(odd) * 2 + (lo + 1)
+        ps = np.flatnonzero(odd_sieve(hi - 1, isqrt(hi - 1), lo)) * 2 + (lo + 1)
         if lo == 0:
             ps[:1] = 2  # 1 survives the sieve; 2 takes its place
         b = int(np.searchsorted(keys, hi))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from divmean import cli, report, sieve, theta
+from divmean import cli, constants, report, sieve, theta
 from divmean.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -258,7 +258,7 @@ class TestVerify:
     def test_series_ladder_walks_once(self, capsys, monkeypatch):
         # three cutoffs share one walk; the Mertens sums list no prime above
         # the square root of the largest theta
-        calls = {"b_rows": [], "build_prime_list": []}
+        calls = {"b_rows": [], "build_prime_list": [], "odd_sieve": []}
 
         def recorded(mod, name):
             fn = getattr(mod, name)
@@ -273,14 +273,18 @@ class TestVerify:
         recorded(report, "b_rows")
         for mod in (report, sieve, theta):
             recorded(mod, "build_prime_list")
+        recorded(sieve, "odd_sieve")
         code, out, _ = run(["verify", "L", "--theta", "practical", "--n", "100000"], capsys)
         assert code == 0
         assert len(out.splitlines()) == 5
         ((_, _, (_, _, tf)),) = calls["b_rows"]
-        limits = [(mod, args[0]) for mod, args, _ in calls["build_prime_list"]]
-        # theta's list serves the chain walk, sieve's the base primes of the blocks
-        assert sorted(mod for mod, _ in limits) == ["divmean.sieve", "divmean.theta"]
-        assert dict(limits)["divmean.sieve"] <= math.isqrt(int(tf.max())) + 1
+        # theta's list serves the chain walk; the Mertens side builds none
+        assert [mod for mod, _, _ in calls["build_prime_list"]] == ["divmean.theta"]
+        # and sieves one block at a time, striking with the primes up to sqrt(theta)
+        assert calls["odd_sieve"]
+        for _, (limit, bound, *lo), _ in calls["odd_sieve"]:
+            assert bound <= math.isqrt(int(tf.max()))
+            assert limit - sum(lo) < 2 * sieve._BLOCK
 
     def test_series_above_old_sieve_budget(self, capsys):
         # max theta is about 1.4e8, past the 2^27 entries a full prime list may hold
@@ -328,6 +332,17 @@ class TestFigures:
         lines = out.splitlines()
         assert lines[0] == "v,growth,growth_approx"
         assert lines[3].split(",")[1] == want
+
+    @pytest.mark.parametrize(
+        "argv", [["figures", "fig2"], ["verify", "dense", "--x", "10000", "--t", "2"]]
+    )
+    def test_reads_only_delta(self, argv, capsys, monkeypatch):
+        # each root is refined on its first read, and these commands read delta alone
+        seeds, refine = [], constants.refine_zero
+        monkeypatch.setattr(constants, "refine_zero", lambda s: seeds.append(s) or refine(s))
+        constants.root_certificate.cache_clear()
+        assert run(argv, capsys)[0] == 0
+        assert seeds == [constants._ROOT_SEEDS["delta"]]
 
     def test_fig1_default_shape(self, capsys):
         code, out, _ = run(["figures", "fig1"], capsys)

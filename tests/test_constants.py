@@ -247,12 +247,6 @@ class TestRefinement:
         assert abs(dn.location - np.conj(up.location)) < 1e-9
         assert abs(dn.residue - np.conj(up.residue)) < 1e-9
 
-    def test_residue_at_accepts_both(self):
-        cert = C.refine_zero(-1.0)
-        r1 = C.residue_at(cert)
-        r2 = C.residue_at(cert.location)
-        assert r1 == r2
-
     def test_json_shape(self):
         cert = C.refine_zero(-1.0)
         js = cert.as_json()

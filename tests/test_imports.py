@@ -1,6 +1,8 @@
-"""Every name a module of divmean imports is read somewhere in that module.
+"""Every name a module of divmean imports is read somewhere in that module,
+and every module-level private name is read somewhere in the package.
 
-__init__.py is left out: its imports are the package's re-exports.
+__init__.py is left out of the import check: its imports are the package's
+re-exports.
 """
 
 import ast
@@ -26,11 +28,50 @@ def _unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _unread_private_names(sources):
+    """(module, line, name) of each module-level _name that no module reads.
+
+    sources maps a module name to its source.  A read is a loaded name or an
+    attribute access; dunder names are left out.
+    """
+    defined, read = [], set()
+    for mod, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(mod, node.lineno, n) for n in names if n.startswith("_")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted(d for d in defined if d[2] not in read and not d[2].endswith("__"))
+
+
 def test_guard_catches_an_unused_import():
     src = "import math\nfrom os import path, sep\nprint(path.join(sep))\n"
     assert _unused_imports(src) == [(1, "math")]
 
 
+def test_guard_catches_an_unread_private_name():
+    sources = {
+        "a": "_A = 1\n_B, C = 2, 3\n__all__ = []\n\ndef _f():\n    return _B\n",
+        "b": "from .a import _f\n\nclass _K:\n    pass\n\nprint(_f())\n",
+    }
+    assert _unread_private_names(sources) == [("a", 1, "_A"), ("b", 3, "_K")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _unread_private_names(sources) == []

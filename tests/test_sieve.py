@@ -16,7 +16,7 @@ from divmean import (
     tau,
 )
 from divmean import sieve
-from divmean.sieve import DEFAULT_SPF_BUDGET, PRIME_WALK_LIMIT, prime_sums
+from divmean.sieve import DEFAULT_SPF_BUDGET, PRIME_WALK_LIMIT, odd_sieve, prime_sums
 from divmean.theta import ThetaRule, b_rows
 
 E_GAMMA = math.exp(-np.euler_gamma)
@@ -187,7 +187,7 @@ def test_logp_pm1_identity():
 
 def test_prime_list_vs_spf(spf_1e5):
     pl = build_prime_list(10**4)
-    assert pl.verify_against(spf_1e5)
+    assert np.array_equal(pl.primes, spf_1e5.primes[spf_1e5.primes <= 10**4])
     assert pl.primes[0] == 2
     assert np.all(np.diff(pl.primes) > 0)
 
@@ -211,6 +211,20 @@ def test_odd_sieve_matches_plain_sieve():
         want = ref[: np.searchsorted(ref, limit, side="right")]
         assert got.primes.dtype == np.int64
         assert np.array_equal(got.primes, want), limit
+    # blocks (lo, limit] from even offsets, some starting or ending on a p*p, struck
+    # by the odd primes up to bounds below and above sqrt(limit): the survivors
+    # are the primes and the numbers with no odd prime factor <= bound
+    blocks = [(0, 1), (0, 2), (0, 1000), (2, 99), (48, 49), (120, 169), (168, 289),
+              (1000, 2209), (9408, 10201), (10**5, 10**5 + 5001), (999_000, 10**6)]
+    for lo, limit in blocks:
+        n = np.arange(lo + 1, limit + 1, 2)
+        r = math.isqrt(limit)
+        for bound in (1, 3, 10, r - 1, r, r + 1, 3 * r + 5):
+            if lo == 0 and bound > limit:
+                continue  # the block from 0 reads its primes in itself
+            small = ref[(ref > 2) & (ref <= bound)]
+            want = np.isin(n, ref) | np.all(n[:, None] % small != 0, axis=1)
+            assert np.array_equal(odd_sieve(limit, bound, lo), want), (lo, limit, bound)
 
 
 def test_sorted_pi_lookup_matches_unsorted(primes_1e5, rng):
