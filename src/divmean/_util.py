@@ -1,4 +1,7 @@
-import sys
+import itertools
+import math
+
+CHUNK = 1 << 16  # array entries turned into one Python list at a time
 
 
 def pmap_ordered(fn, items, threads=1):
@@ -8,17 +11,21 @@ def pmap_ordered(fn, items, threads=1):
 
 def write_lines(fh, values):
     """Write an integer array one decimal per line, in joined chunks; returns its length."""
-    for i in range(0, len(values), 1 << 16):
-        fh.write("\n".join(map(str, values[i : i + (1 << 16)].tolist())))
+    for i in range(0, len(values), CHUNK):
+        fh.write("\n".join(map(str, values[i : i + CHUNK].tolist())))
         fh.write("\n")
     return len(values)
+
+
+def fsum(a, f=lambda i, chunk: chunk):
+    """math.fsum over the arrays f(i, a[i : i + CHUNK]), i = 0, CHUNK, ...; by default over a.
+
+    Each array becomes a list in turn, so no list of the whole of a is built.
+    """
+    parts = (f(i, a[i : i + CHUNK]).tolist() for i in range(0, len(a), CHUNK))
+    return math.fsum(itertools.chain.from_iterable(parts))
 
 
 def fmt15(x):
     """Fixed 15-significant-digit float formatting for golden-file output."""
     return f"{float(x):.15g}"
-
-
-def progress(msg):
-    # stdout stays machine-parseable; diagnostics go to stderr
-    print(msg, file=sys.stderr, flush=True)

@@ -10,7 +10,7 @@ import math
 import sys
 from fractions import Fraction
 
-from ._util import fmt15, progress, write_lines
+from ._util import fmt15, write_lines
 from .constants import (
     constants_document,
     document_to_json,
@@ -133,7 +133,7 @@ def _cmd_enumerate(args):
             write_lines(fh, members)
     else:
         write_lines(sys.stdout, members)
-    progress(f"enumerated {len(members)} {what} members")
+    print(f"enumerated {len(members)} {what} members", file=sys.stderr, flush=True)
     return 0
 
 

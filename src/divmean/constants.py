@@ -52,11 +52,12 @@ def _refuse_pole(s):
 
 
 class GEvaluator:
-    """g and g' from a fixed Gauss discretization of the gap integral."""
+    """g and g' from a fixed Gauss discretization of the gap integral up to V,
+    or over the whole xi table when V is None."""
 
-    def __init__(self, V=6.0, panel_width=0.25, full_grid=False):
+    def __init__(self, V=6.0, panel_width=0.25):
         self._xi = get_bundle().ratio
-        if full_grid:
+        if V is None:
             v_hi = self._xi.grid_end
         else:
             if not 5.0 <= V <= 8.0:
@@ -85,14 +86,10 @@ class GEvaluator:
         return integral - EXP_NEG_2GAMMA / s**2 - EXP_NEG_2GAMMA / (s - 1.0) ** 2
 
     def g(self, s):
-        _refuse_pole(complex(s))
-        out = complex(self.g_many(s)[0])
-        return out.real if np.isrealobj(np.asarray(s)) else out
+        return _at_point(self.g_many, s)
 
     def g_prime(self, s):
-        _refuse_pole(complex(s))
-        out = complex(self.g_prime_many(s)[0])
-        return out.real if np.isrealobj(np.asarray(s)) else out
+        return _at_point(self.g_prime_many, s)
 
     def tail_bound(self, sigma_min):
         """Certified |g - g_V| on Re s >= sigma_min: upper sum of the
@@ -100,10 +97,17 @@ class GEvaluator:
         return _truncation_bound(self.truncation_V, sigma_min, self._xi)
 
 
+def _at_point(many, s):
+    """many at the one point s, real for a real s; the poles 0 and 1 are refused."""
+    _refuse_pole(complex(s))
+    out = complex(many(s)[0])
+    return out.real if np.isrealobj(np.asarray(s)) else out
+
+
 def _truncation_bound(v_from, sigma_min, xi):
     p = -sigma_min - 1.0  # |(v+1)^{-s-1}| <= (v+1)^p
     h = xi.grid_step
-    u = xi.grid_start + np.arange(len(xi.grid_values)) * h
+    u = xi.grid
     gap = np.abs(xi.grid_values - (u + 2.0) * EXP_NEG_2GAMMA) + xi.err_budget
     m = u >= v_from - 1e-12
     ga, ua = gap[m], u[m]
@@ -137,18 +141,14 @@ def _tail_envelope(end, p, total):
     return total
 
 
-def _evaluator(V=6.0, panel_width=0.25, full_grid=False):
-    """The process-wide GEvaluator; the full table ignores V."""
-    return _evaluator_at(None if full_grid else float(V), float(panel_width))
+def _evaluator(V=6.0, panel_width=0.25):
+    """The process-wide GEvaluator of V (None: the whole table) and panel_width."""
+    return _evaluator_at(None if V is None else float(V), float(panel_width))
 
 
 @cache
 def _evaluator_at(V, panel_width):
-    return GEvaluator(V=V, panel_width=panel_width, full_grid=V is None)
-
-
-def _full_ev():
-    return _evaluator(full_grid=True)
+    return GEvaluator(V=V, panel_width=panel_width)
 
 
 def g_eval(s, V=6.0):
@@ -276,7 +276,7 @@ def find_delta_via_Q():
     qp = (Q_eval(root + h) - Q_eval(root - h)) / (2.0 * h)
     gp = (root + 1.0) * qp / (2.0 * math.gamma(root + 1.0))
     return _certificate(
-        _full_ev(), root, abs(Q_eval(root)), gp, "real-bisection", None, _BISECT_HALF
+        _evaluator(V=None), root, abs(Q_eval(root)), gp, "real-bisection", None, _BISECT_HALF
     )
 
 
@@ -371,7 +371,7 @@ class RootCertificate:
 
 def refine_zero(seed):
     """Polish a root of g on the full table, then certify it by winding."""
-    ev = _full_ev()
+    ev = _evaluator(V=None)
     seed = complex(seed)
     if seed.imag == 0.0:
         x = seed.real
@@ -454,7 +454,7 @@ def H_bound(sigma):
     """2^{1-sigma} + int_1^inf |ratio'(v) - e^{-2g}| (v+1)^{-sigma} dv."""
     xi = get_bundle().ratio
     h = xi.grid_step
-    u = xi.grid_start + np.arange(len(xi.grid_values)) * h
+    u = xi.grid
     d = ratio_prime(u) - EXP_NEG_2GAMMA
     flips = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
     crossings = [

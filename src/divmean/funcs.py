@@ -42,9 +42,10 @@ _W_FWD = (9.0 / 24, 19.0 / 24, -5.0 / 24, 1.0 / 24)
 _W_BWD = (1.0 / 24, -5.0 / 24, 19.0 / 24, 9.0 / 24)
 
 
-def _cubic_interp(start, h, block, values, us):
-    """Block-clamped 4-point Lagrange interpolation on an aligned grid."""
-    t = (np.asarray(us, dtype=float) - start) / h
+def _cubic_interp(h, values, us):
+    """Block-clamped 4-point Lagrange interpolation on the grid 1 + k*h, unit blocks."""
+    t = (np.asarray(us, dtype=float) - 1.0) / h
+    block = round(1.0 / h)
     n_last = len(values) - 1
     k = np.clip(np.floor(t).astype(np.int64), 0, n_last - 1)
     blk = k // block
@@ -61,21 +62,26 @@ def _cubic_interp(start, h, block, values, us):
 
 @dataclass
 class PiecewiseFn:
-    """Closed forms on low blocks, marched grid above, optional tail."""
+    """Closed forms on low blocks, marched grid 1 + k*grid_step above, optional tail.
+
+    The grid takes over where the last exact piece ends (at 1 when there is
+    none), so it never interpolates inside an exact piece.
+    """
 
     name: str
-    exact_pieces: list  # (lo, hi, vectorized fn) on [lo, hi)
-    exact_hi: float
-    grid_start: float
-    grid_step: float
-    grid_block: int
+    exact_pieces: list  # (lo, hi, vectorized fn) on [lo, hi), ascending
+    grid_step: float  # 2^-m: unit blocks of 2^m steps
     grid_values: np.ndarray
     tail_fn: object  # vectorized fn above grid_end, or None
     err_budget: float  # None where no budget is declared
 
     @property
+    def grid(self):
+        return 1.0 + np.arange(len(self.grid_values)) * self.grid_step
+
+    @property
     def grid_end(self):
-        return self.grid_start + (len(self.grid_values) - 1) * self.grid_step
+        return 1.0 + (len(self.grid_values) - 1) * self.grid_step
 
     def eval_many(self, us):
         us = np.asarray(us, dtype=float)
@@ -86,11 +92,10 @@ class PiecewiseFn:
             m = (us >= lo) & (us < hi)
             if m.any():
                 out[m] = fn(us[m])
-        m = (us >= self.exact_hi) & (us <= self.grid_end)
+        start = self.exact_pieces[-1][1] if self.exact_pieces else 1.0
+        m = (us >= start) & (us <= self.grid_end)
         if m.any():
-            out[m] = _cubic_interp(
-                self.grid_start, self.grid_step, self.grid_block, self.grid_values, us[m]
-            )
+            out[m] = _cubic_interp(self.grid_step, self.grid_values, us[m])
         m = us > self.grid_end
         if m.any():
             if self.tail_fn is None:
@@ -143,32 +148,26 @@ def _delay_tables(name, c0, n_blocks, tail_fn, cum_tail, err_budget):
     past the grid end, where it reaches top.
     """
     vals, icum = _march_delay(c0, n_blocks)
-    grid = {
-        "grid_start": 1.0,
-        "grid_step": 2.0**-OMEGA_STEP_BITS,
-        "grid_block": 1 << OMEGA_STEP_BITS,
-    }
+    h = 2.0**-OMEGA_STEP_BITS
     fn = PiecewiseFn(
         name=name,
         exact_pieces=[
             (1.0, 2.0, lambda x: c0 / x),
             (2.0, 3.0, lambda x: (c0 + c0 * c0 * np.log(x - 1.0)) / x),
         ],
-        exact_hi=3.0,
+        grid_step=h,
         grid_values=vals,
         tail_fn=tail_fn,
         err_budget=err_budget,
-        **grid,
     )
     end, top = fn.grid_end, icum[-1]
     cum = PiecewiseFn(
         name=f"{name}_integral",
         exact_pieces=[],
-        exact_hi=1.0,
+        grid_step=h,
         grid_values=icum,
         tail_fn=lambda x: top + cum_tail(x, end),
         err_budget=None,
-        **grid,
     )
     return fn, cum
 
@@ -313,7 +312,7 @@ def build_growth_fn(ratio):
         out = np.array(us, dtype=float)
         m = out >= 1.0
         if m.any():
-            out[m] = _cubic_interp(1.0, h, block, lam, out[m])
+            out[m] = _cubic_interp(h, lam, out[m])
         return out
 
     a, k_lo = 1, 1
@@ -332,10 +331,7 @@ def build_growth_fn(ratio):
     return PiecewiseFn(
         name="growth_fn",
         exact_pieces=[(0.0, 1.0, lambda x: x.copy())],
-        exact_hi=1.0,
-        grid_start=1.0,
         grid_step=h,
-        grid_block=block,
         grid_values=lam,
         tail_fn=None,
         err_budget=1e-7,

@@ -7,7 +7,6 @@ to and the slack multiplier applied when judging it, so tightening a bound
 later is a data change, not a code change.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import fmt15
+from ._util import fmt15, fsum
 from .constants import lambda1_closed_form, root_certificate
 from .errors import ConfigError, RangeError
 from .funcs import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, get_bundle
@@ -24,7 +23,6 @@ from .theta import ThetaRule, b_rows, chain_stats_multi, dense_stats, rough_stat
 
 DEFAULT_SLACK = 5.0
 GRID_POINT_LIMIT = 10**6  # rows of one tabulated function or figure
-_CHUNK = 1 << 16  # series terms per list handed to fsum
 # default (from, to, step) of each figure's grid
 FIGURE_GRIDS = {"fig1": (1.0, 15.0, 0.25), "fig2": (0.0, 50.0, 0.5)}
 
@@ -80,32 +78,18 @@ def sort_rows(rows):
     return sorted(rows, key=lambda r: (r.params, r.label))
 
 
-def _fmt_param(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return fmt15(v)
-    return str(v)
+_CSV_FLOATS = ("exact", "estimate", "rel_err", "envelope", "slack")
 
 
 def rows_to_csv(rows):
-    lines = ["label,params,exact,estimate,rel_err,envelope,slack,ok"]
-    for r in rows:
-        ps = ";".join(f"{k}={_fmt_param(v)}" for k, v in r.params)
-        lines.append(
-            ",".join(
-                [
-                    r.label,
-                    ps,
-                    fmt15(r.exact),
-                    fmt15(r.estimate),
-                    fmt15(r.rel_err),
-                    fmt15(r.envelope),
-                    fmt15(r.slack),
-                    "1" if r.ok else "0",
-                ]
-            )
+    """One CSV line per row from its as_dict(): float fields as fmt15, ok as 1 or 0."""
+    lines = ["label,params," + ",".join(_CSV_FLOATS) + ",ok"]
+    for d in map(CompareRow.as_dict, rows):
+        ps = ";".join(
+            f"{k}={fmt15(v) if isinstance(v, float) else v}" for k, v in d["params"].items()
         )
+        cols = [d["label"], ps, *(fmt15(d[c]) for c in _CSV_FLOATS), "1" if d["ok"] else "0"]
+        lines.append(",".join(cols))
     return "\n".join(lines) + "\n"
 
 
@@ -209,17 +193,11 @@ def L_partial_multi(rule, cutoffs):
     ns, taus, tf = b_rows(rule, max(cutoffs))
     m = np.exp(prime_sums(tf, _log_mertens)[0])
     terms = taus.astype(np.float64) / ns.astype(np.float64) * m * m
-    return [_fsum(terms[: np.searchsorted(ns, N, "right")]) for N in cutoffs]
+    return [fsum(terms[: np.searchsorted(ns, N, "right")]) for N in cutoffs]
 
 
 def _log_mertens(p):
     return np.log1p(-1.0 / p)
-
-
-def _fsum(a):
-    """math.fsum over the entries of a, listed one chunk at a time."""
-    chunks = (a[i : i + _CHUNK].tolist() for i in range(0, a.size, _CHUNK))
-    return math.fsum(itertools.chain.from_iterable(chunks))
 
 
 def L_partial(rule, N):
@@ -237,7 +215,7 @@ def c_theta_breakdown(rule, N):
     logp, logm = prime_sums(tf, lambda p: np.log(p) / (p - 1.0), _log_mertens)
     nf = ns.astype(np.float64)
     terms = (logp - np.log(nf)) * np.exp(logm) / nf
-    value = _fsum(terms) / (1.0 - EXP_NEG_GAMMA)
+    value = fsum(terms) / (1.0 - EXP_NEG_GAMMA)
     big_theta = tf >= ns
     negative = terms < -1e-12
     return {

@@ -26,20 +26,11 @@ _BLOCK = 1 << 20  # odd numbers per block of prime_sums
 class SpfTable:
     """spf[n] = smallest prime factor of n for 2 <= n <= limit; spf[0]=spf[1]=0."""
 
-    __slots__ = ("limit", "spf", "_primes")
+    __slots__ = ("limit", "spf")
 
     def __init__(self, limit, spf):
         self.limit = limit
         self.spf = spf
-        self._primes = None
-
-    @property
-    def primes(self):
-        if self._primes is None:
-            idx = np.arange(self.limit + 1, dtype=self.spf.dtype)
-            self._primes = np.flatnonzero(self.spf == idx)[1:].astype(np.int64)
-            # [1:] drops n=0 (spf 0 == index 0 is a false hit; n=1 has spf 0 != 1)
-        return self._primes
 
     def check_range(self, n):
         if not (1 <= n <= self.limit):
@@ -63,13 +54,17 @@ class SpfTable:
         return out
 
 
-def build_spf_table(limit):
+def _check_sieve(limit, what):
+    """Refuse, before any allocation, a limit below 2 or a sieve of limit + 1 entries
+    past DEFAULT_SPF_BUDGET, read at each call."""
     if limit < 2:
         raise RangeError(f"limit must be >= 2, got {limit}")
     if limit + 1 > DEFAULT_SPF_BUDGET:
-        raise ResourceError(
-            f"spf table of {limit + 1} entries exceeds budget {DEFAULT_SPF_BUDGET}"
-        )
+        raise ResourceError(f"{what} of {limit + 1} entries exceeds budget {DEFAULT_SPF_BUDGET}")
+
+
+def build_spf_table(limit):
+    _check_sieve(limit, "spf table")
     spf = np.zeros(limit + 1, dtype=np.int32)
     spf[2::2] = 2
     for p in range(3, isqrt(limit) + 1, 2):
@@ -138,9 +133,11 @@ def odd_sieve(limit, bound, lo=0):
 
     Each odd prime p <= bound strikes its odd multiples from p*p on, so what
     survives is 1, the odd primes, and the odd numbers with no prime factor
-    <= bound.  The block from 0 finds those primes in itself, a later block in
-    the block from 0 to bound.
+    <= bound.  No p above isqrt(limit) strikes, so bound is cut to it.  The
+    block from 0 finds those primes in itself, a later block in the block from
+    0 to bound.
     """
+    bound = min(bound, isqrt(limit))
     odd = np.ones((limit - lo + 1) // 2, dtype=bool)
     if lo:
         base = np.flatnonzero(odd_sieve(bound, isqrt(bound)))[1:].tolist()
@@ -156,12 +153,7 @@ def odd_sieve(limit, bound, lo=0):
 
 
 def build_prime_list(limit):
-    if limit < 2:
-        raise RangeError(f"limit must be >= 2, got {limit}")
-    if limit + 1 > DEFAULT_SPF_BUDGET:
-        raise ResourceError(
-            f"prime sieve of {limit + 1} entries exceeds budget {DEFAULT_SPF_BUDGET}"
-        )
+    _check_sieve(limit, "prime sieve")
     odd = odd_sieve(limit, isqrt(limit))
     odd[0] = False
     primes = np.flatnonzero(odd) * 2 + 1

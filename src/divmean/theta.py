@@ -26,7 +26,7 @@ from math import isqrt
 
 import numpy as np
 
-from ._util import write_lines
+from ._util import fsum, write_lines
 from .errors import ConfigError, RangeError, ResourceError
 from .sieve import build_prime_list, divisors_sorted, odd_sieve
 
@@ -37,7 +37,6 @@ ROUGH_LIMIT = 1 << 27
 MEMBER_LIMIT = 1 << 26
 SUBSET_SUM_LIMIT = 10**6
 CUSTOM_ENUM_LIMIT = 10**6
-_CHUNK = 1 << 16  # sieve-mask entries per chunk of the rough harmonic sum
 
 
 @dataclass(frozen=True)
@@ -166,8 +165,8 @@ def _primes_for_rule(rule, x):
     return build_prime_list(cap)
 
 
-def _parents(rule, x, plist, limit, stack):
-    """Walk the parents on stack; five int64s (n, sigma(n), tau(n), lo, hi) each.
+def _parents(rule, x, plist, limit):
+    """Walk the parents of B(x) from n = 1; five int64s (n, sigma(n), tau(n), lo, hi) each.
 
     plist holds every prime <= limit.  A stack entry (n, sigma(n), tau(n), i0)
     may go on with the primes plist[i0:] up to cap = min(floor(theta(n)), x//n).
@@ -177,6 +176,7 @@ def _parents(rule, x, plist, limit, stack):
     the children n*p^a, pushed onto the stack.
     """
     theta = rule.theta_floor
+    stack = [(1, 1, 1, 0)]
     pop = stack.pop
     push = stack.append
     out = array("q")
@@ -209,7 +209,7 @@ def _chain(rule, x):
     if x < 1:
         raise RangeError(f"x must be >= 1, got {x}")
     primes = _primes_for_rule(rule, x)
-    recs = _parents(rule, x, primes.primes.tolist(), primes.limit, [(1, 1, 1, 0)])
+    recs = _parents(rule, x, primes.primes.tolist(), primes.limit)
     return np.frombuffer(recs, dtype=np.int64).reshape(-1, 5), primes.primes
 
 
@@ -317,11 +317,7 @@ def rough_stats(x, y):
     """Exact Phi(x,y), S(x,y), and the rough harmonic sum (n=1 included)."""
     odd = _rough_mask(x, y)
     phi, tau_sum = _phi_S(odd, x)
-    chunks = (
-        (1.0 / (2 * (np.flatnonzero(odd[i : i + _CHUNK]) + i) + 1)).tolist()
-        for i in range(0, len(odd), _CHUNK)
-    )
-    harm = math.fsum(itertools.chain.from_iterable(chunks))
+    harm = fsum(odd, lambda i, chunk: 1.0 / (2 * (np.flatnonzero(chunk) + i) + 1))
     return SeqStats(x, phi, tau_sum, harm)
 
 

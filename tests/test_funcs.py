@@ -38,8 +38,10 @@ GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(divmean.__file__).resolve().parents[1]
 
 
-def _grid_u(fn):
-    return fn.grid_start + np.arange(len(fn.grid_values)) * fn.grid_step
+def _node(fn, u):
+    """The grid value of fn at the grid abscissa u."""
+    (k,) = np.flatnonzero(fn.grid == u)
+    return fn.grid_values[k]
 
 
 class TestBuchstab:
@@ -55,7 +57,7 @@ class TestBuchstab:
         assert abs(bundle.buchstab(10.0) - EXP_NEG_GAMMA) < 1.0 / math.gamma(11.0)
 
     def test_limit_certificate_on_grid(self, bundle):
-        u = _grid_u(bundle.buchstab)
+        u = bundle.buchstab.grid
         bound = np.exp(-gammaln(u + 1.0))
         assert np.all(np.abs(bundle.buchstab.grid_values - EXP_NEG_GAMMA) < bound)
 
@@ -66,7 +68,7 @@ class TestBuchstab:
         w = bundle.buchstab
         # piece-piece at u=2, piece-grid at u=3, grid-tail at the far end
         assert abs(1.0 / 2.0 - (1.0 + math.log(1.0)) / 2.0) == 0.0
-        assert abs((1.0 + math.log(2.0)) / 3.0 - w.grid_values[2 * w.grid_block]) <= w.err_budget
+        assert abs((1.0 + math.log(2.0)) / 3.0 - _node(w, 3.0)) <= w.err_budget
         assert abs(w.grid_values[-1] - EXP_NEG_GAMMA) <= w.err_budget
 
     def test_defect_integral_converged_by_30(self, bundle):
@@ -94,14 +96,14 @@ class TestRatioFn:
         assert abs(bundle.ratio(10.0) - 12.0 * EXP_NEG_2GAMMA) < 4.0e-5
 
     def test_certificate_on_grid(self, bundle):
-        u = _grid_u(bundle.ratio)
+        u = bundle.ratio.grid
         m = u >= 1.5
         bound = np.exp(u[m] * math.log(2.0) - gammaln(u[m] + 1.0)) / 7.0
         gap = np.abs(bundle.ratio.grid_values[m] - (u[m] + 2.0) * EXP_NEG_2GAMMA)
         assert np.all(gap < bound)
 
     def test_envelope_bounds_on_grid(self, bundle):
-        u = _grid_u(bundle.ratio)
+        u = bundle.ratio.grid
         v = bundle.ratio.grid_values
         assert np.all(v >= (u + 2.0) / 4.0)
         assert np.all(v <= u + 1.0)
@@ -117,7 +119,7 @@ class TestRatioFn:
         xi = bundle.ratio
         assert abs(2.0 / 2.0 - (4.0 * math.log(1.0) + 2.0) / 2.0) == 0.0
         want3 = (4.0 * math.log(2.0) + 2.0) / 3.0
-        assert abs(want3 - xi.grid_values[2 * xi.grid_block]) <= xi.err_budget
+        assert abs(want3 - _node(xi, 3.0)) <= xi.err_budget
         end = xi.grid_end
         assert abs(xi.grid_values[-1] - (end + 2.0) * EXP_NEG_2GAMMA) <= 1e-9
 
@@ -131,7 +133,7 @@ class TestRatioPrime:
         assert ratio_prime(0.5) == 0.0
 
     def test_certificate_on_grid(self, bundle):
-        u = _grid_u(bundle.ratio)
+        u = bundle.ratio.grid
         m = u >= 2.5
         vals = ratio_prime(u[m])
         bound = np.exp(u[m] * math.log(2.0) - gammaln(u[m] + 1.0)) / 7.0
@@ -220,10 +222,37 @@ class TestInterpolation:
 
     def test_interp_reproduces_grid_nodes(self, bundle):
         xi = bundle.ratio
-        idx = np.array([3 * xi.grid_block + 7, 5 * xi.grid_block, 11 * xi.grid_block - 1])
-        us = xi.grid_start + idx * xi.grid_step
+        block = 1 << OMEGA_STEP_BITS
+        idx = np.array([3 * block + 7, 5 * block, 11 * block - 1])
+        us = xi.grid[idx]
         got = xi.eval_many(us)
         assert np.allclose(got, xi.grid_values[idx], rtol=0, atol=1e-13)
+
+
+# (table, closed form below the last exact piece end, that end): omega and
+# xi are c0/u on [1, 2) and (c0 + c0^2 log(u-1))/u on [2, 3), lambda is u on
+# [0, 1), and the integrals have no exact piece, so their grid starts at 1
+_HANDOVER = [
+    ("buchstab", lambda u: 1.0 / u if u < 2.0 else (1.0 + np.log(u - 1.0)) / u, 3.0),
+    ("ratio", lambda u: 2.0 / u if u < 2.0 else (2.0 + 4.0 * np.log(u - 1.0)) / u, 3.0),
+    ("buchstab_cum", None, 1.0),
+    ("ratio_cum", None, 1.0),
+    ("growth", lambda u: u, 1.0),
+]
+
+
+@pytest.mark.parametrize("name,closed,switch", _HANDOVER, ids=[h[0] for h in _HANDOVER])
+def test_exact_pieces_hand_over_to_grid(name, closed, switch, bundle):
+    fn = getattr(bundle, name)
+    assert fn.grid[-1] == fn.grid_end
+    us = np.array([1.0, 2.0, np.nextafter(3.0, 0.0), 3.0, fn.grid_end])
+    for u, got in zip(us.tolist(), fn.eval_many(us).tolist()):
+        if u < switch:
+            assert got == closed(np.float64(u)), (name, u)
+        elif u in fn.grid:
+            assert got == _node(fn, u), (name, u)  # the interpolant reads the node back
+        else:  # between nodes: the grid interpolant, not a closed form
+            assert got == _cubic_interp(fn.grid_step, fn.grid_values, [u])[0], (name, u)
 
 
 def _stepwise_growth_grid(ratio):
@@ -259,7 +288,7 @@ def _stepwise_growth_grid(ratio):
         weights = (rad[:, None] * wg[None, :]).ravel()
         lam_at = nodes.copy()
         m = lam_at >= 1.0
-        lam_at[m] = _cubic_interp(1.0, h, block, lam, lam_at[m])
+        lam_at[m] = _cubic_interp(h, lam, lam_at[m])
         integrand = lam_at * ratio.eval_many((v - nodes) / (nodes + 1.0)) / (nodes + 1.0)
         lam[k] = v - float((integrand * weights).sum())
     return lam

@@ -39,7 +39,8 @@ def test_spf_examples():
 
 def test_spf_prime_count_100():
     t = build_spf_table(100)
-    assert len(t.primes) == 25
+    # a prime is its own smallest factor; 0 reads 0 too, so it is dropped
+    assert np.count_nonzero(t.spf[1:] == np.arange(1, 101)) == 25
 
 
 def test_spf_rejects_limit_1():
@@ -187,7 +188,8 @@ def test_logp_pm1_identity():
 
 def test_prime_list_vs_spf(spf_1e5):
     pl = build_prime_list(10**4)
-    assert np.array_equal(pl.primes, spf_1e5.primes[spf_1e5.primes <= 10**4])
+    n = np.arange(10**4 + 1)
+    assert np.array_equal(pl.primes, np.flatnonzero(spf_1e5.spf[: n.size] == n)[1:])
     assert pl.primes[0] == 2
     assert np.all(np.diff(pl.primes) > 0)
 
@@ -220,8 +222,6 @@ def test_odd_sieve_matches_plain_sieve():
         n = np.arange(lo + 1, limit + 1, 2)
         r = math.isqrt(limit)
         for bound in (1, 3, 10, r - 1, r, r + 1, 3 * r + 5):
-            if lo == 0 and bound > limit:
-                continue  # the block from 0 reads its primes in itself
             small = ref[(ref > 2) & (ref <= bound)]
             want = np.isin(n, ref) | np.all(n[:, None] % small != 0, axis=1)
             assert np.array_equal(odd_sieve(limit, bound, lo), want), (lo, limit, bound)

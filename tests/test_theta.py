@@ -221,7 +221,7 @@ class TestRoughStats:
         # S(x, y) by the hyperbola method against sum_a Phi(x/a) over every a;
         # perfect squares and y on both sides of sqrt(x) included.  A short
         # chunk makes the harmonic sum cross chunk boundaries.
-        monkeypatch.setattr("divmean.theta._CHUNK", 7)
+        monkeypatch.setattr("divmean._util.CHUNK", 7)
         xs = list(range(1, 200)) + [k * k + e for k in (15, 31, 50, 99, 100) for e in (-1, 0, 1)]
         xs += [5000, 10**4]
         for x in xs:
@@ -563,4 +563,4 @@ class TestPrimeCap:
         # dense(2) at 1000 has caps up to 31 (n=32: min(64, 1000//32)); primes to 10 fall short
         pl = build_prime_list(10)
         with pytest.raises(RangeError, match="beyond prime list limit 10"):
-            _parents(ThetaRule.dense(2), 1000, pl.primes.tolist(), pl.limit, [(1, 1, 1, 0)])
+            _parents(ThetaRule.dense(2), 1000, pl.primes.tolist(), pl.limit)

@@ -1,12 +1,17 @@
-"""The names `perfbench/traced.py` wraps must exist in divmean.
+"""`perfbench/traced.py` must keep working on divmean.
 
-`traced.py` looks each one up with no default, so a rename in divmean would
-make every `--trace 1` benchmark run fail.  The lists are read from the
-file's source, without importing it.
+`traced.py` looks each wrapped name up with no default, and reads work counts
+from return values by attribute, so a rename in divmean would make every
+`--trace 1` benchmark run fail.  The name lists are read from the file's
+source, without importing it; a few cheap commands then run through it.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +38,52 @@ def test_traced_name_resolves(entry):
         assert hasattr(obj, attr), f"divmean.{mod} has no {'.'.join(path)}"
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+# (divmean arguments, {span: the work counts it must record}) of cheap runs
+# that pass through every COUNTS reader but build_spf_table's
+_TRACE_RUNS = [
+    (["stats", "practical", "--x", "1000"], {
+        "theta.practical_stats": {"members"},
+        "sieve.build_prime_list": {"limit", "bytes"},
+    }),
+    (["stats", "dense", "--x", "1000", "--t", "2"], {
+        "theta.dense_stats": {"members"},
+        "sieve.build_prime_list": {"limit", "bytes"},
+    }),
+    (["enumerate", "practical", "--x", "1000", "--out", "members.txt"], {
+        "theta.generate_B": {"members"},
+        "sieve.build_prime_list": {"limit", "bytes"},
+    }),
+    (["verify", "L", "--n", "1000"], {
+        "theta.b_rows": {"members"},
+        "sieve.build_prime_list": {"limit", "bytes"},
+    }),
+    (["fn", "omega", "--to", "5"], {
+        "report.tabulate_fn": set(),
+        "funcs.get_bundle": set(),
+        "funcs.build_buchstab": {"grid_nodes"},
+    }),
+]
+
+
+@pytest.mark.parametrize("args,want", _TRACE_RUNS, ids=[" ".join(a[:2]) for a, _ in _TRACE_RUNS])
+def test_traced_run_records_spans(args, want, tmp_path):
+    # a count reader that no longer fits its return value fails the run
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(TRACED), "spans.json", "--", *args],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    got = {name: counts for name, *_, counts in spans}
+    assert set(want) <= set(got), sorted(got)
+    for name, keys in want.items():
+        assert set(got[name]) == keys, name
+        assert all(v > 0 for v in got[name].values()), (name, got[name])
