@@ -209,13 +209,8 @@ def _cmd_verify(args):
     # funceq: exact integer identity between direct sums and chain splits
     rule = _theta_rule(args.theta, args.t)
     res = verify_funceq(args.x, rule)
-    lines = [
-        f"count_lhs = {res['count_lhs']}",
-        f"count_rhs = {res['count_rhs']}",
-        f"tau_lhs = {res['tau_lhs']}",
-        f"tau_rhs = {res['tau_rhs']}",
-    ]
-    return _verdict("\n".join(lines) + "\n", res["exact"], args)
+    keys = ("count_lhs", "count_rhs", "tau_lhs", "tau_rhs")
+    return _verdict("".join(f"{k} = {res[k]}\n" for k in keys), res["exact"], args)
 
 
 def _cmd_figures(args):

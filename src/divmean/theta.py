@@ -10,23 +10,22 @@ P+(n) < p <= theta(n) with n*p^a <= x; each element has exactly one chain,
 its ascending factorization.  Most members are leaves n*p with
 p > sqrt(x/n), which can be extended no further, and for one n their primes
 form a contiguous slice of the prime list.  So a depth-first walk visits
-only the parents (members that are not such leaves) and handles each leaf
-slice in bulk: counts and tau sums from its length, members and rows as one
-numpy slice.  All theta comparisons are exact integer arithmetic (rational
-t included), never floating point, so boundary ties cannot be misclassified.
+only the parents (members that are not such leaves), in numpy blocks, and
+handles each leaf slice in bulk: counts and tau sums from its length,
+members and rows as one numpy slice.  All theta comparisons are exact
+integer arithmetic (rational t included), never floating point, so boundary
+ties cannot be misclassified.
 """
 
 import itertools
 import math
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
-from ._util import fsum, write_lines
+from . import _util
 from .errors import ConfigError, RangeError, ResourceError
 from .sieve import build_prime_list, divisors_sorted, odd_sieve
 
@@ -153,7 +152,7 @@ def _primes_for_rule(rule, x):
         # caps are min(sigma(n)+1, x/n) <= sqrt((sigma(n)+1) x/n).  Robin (1984):
         # sigma(n)/n < e^gamma log log n + 0.6483/log log n for n >= 3, which is
         # below 6.991 for 4 <= n <= 1e20 (and sigma(n)/n <= 3/2 for n < 4).  So
-        # (sigma(n)+1)/n < 7 and p^2 < 7x for every x <= 1e20.  _parents raises
+        # (sigma(n)+1)/n < 7 and p^2 < 7x for every x <= 1e20.  _blocks raises
         # if a cap ever outruns the list.
         cap = isqrt(7 * x) + 1
     else:
@@ -165,93 +164,108 @@ def _primes_for_rule(rule, x):
     return build_prime_list(cap)
 
 
-def _parents(rule, x, plist, limit):
-    """Walk the parents of B(x) from n = 1; five int64s (n, sigma(n), tau(n), lo, hi) each.
-
-    plist holds every prime <= limit.  A stack entry (n, sigma(n), tau(n), i0)
-    may go on with the primes plist[i0:] up to cap = min(floor(theta(n)), x//n).
-    A child n*p with p > isqrt(x//n) is a leaf: n*p*p > x, and any further
-    prime would exceed p.  So the leaves of n are n*p for p in plist[lo:hi],
-    each with tau = 2*tau(n), and they are never pushed.  Smaller primes give
-    the children n*p^a, pushed onto the stack.
-    """
-    theta = rule.theta_floor
-    stack = [(1, 1, 1, 0)]
-    pop = stack.pop
-    push = stack.append
-    out = array("q")
-    while stack:
-        n, sg, tu, i0 = pop()
-        lim = x // n
-        cap = theta(n, sg)
-        if cap is None or cap > lim:
-            cap = lim
-        if cap > limit:
-            raise RangeError(f"chain cap {cap} at n={n} beyond prime list limit {limit}")
-        hi = bisect_right(plist, cap, i0)
-        lo = bisect_right(plist, isqrt(lim), i0, hi)
-        out.extend((n, sg, tu, lo, hi))
-        for i in range(i0, lo):
-            p = plist[i]
-            m = n * p
-            spow = 1 + p
-            a = 2
-            while m <= x:
-                push((m, sg * spow, tu * a, i + 1))
-                m *= p
-                spow = spow * p + 1
-                a += 1
-    return out
+def _isqrt(a):
+    """Exact floor(sqrt(a)) of an int64 array in [0, 2^62]: the float root is within 1."""
+    r = np.sqrt(a.astype(np.float64)).astype(np.int64)
+    r -= r * r > a
+    r += (r + 1) * (r + 1) <= a
+    return r
 
 
-def _chain(rule, x):
-    """Parent records of B(x) as an int64 array, and the prime array they index."""
+def _slices(starts, lens):
+    """The indices starts[k] + j, 0 <= j < lens[k], in order of k."""
+    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(int(lens.sum()))
+
+
+def _walk(rule, x):
+    """The prime array of B(x)'s walk, and a generator of its parent-record blocks."""
     if x < 1:
         raise RangeError(f"x must be >= 1, got {x}")
     primes = _primes_for_rule(rule, x)
-    recs = _parents(rule, x, primes.primes.tolist(), primes.limit)
-    return np.frombuffer(recs, dtype=np.int64).reshape(-1, 5), primes.primes
+    return primes.primes, _blocks(rule, x, primes.primes, primes.limit)
 
 
-def _leaves(recs, parr):
-    """Leaf count of every record and the primes of all leaves, in record order."""
-    lo, hi = recs[:, 3], recs[:, 4]
-    lens = hi - lo
-    members = len(recs) + int(lens.sum())
+def _blocks(rule, x, parr, limit):
+    """Walk the parents of B(x) from n = 1, yielding blocks of at most _util.CHUNK.
+
+    parr holds every prime <= limit.  A pending parent (n, sigma(n), tau(n), i0)
+    may go on with the primes parr[i0:] up to cap = min(floor(theta(n)), x//n).
+    A child n*p with p > isqrt(x//n) is a leaf: n*p*p > x, and any further
+    prime would exceed p.  So the leaves of n are n*p for p in parr[lo:hi],
+    each with tau = 2*tau(n), and they are never pushed.  Smaller primes give
+    the children n*p^a, one pass per exponent a, pushed in blocks.  A block
+    yields the (5, k) int64 rows n, sigma(n), tau(n), lo, hi.  Pending blocks
+    are walked depth-first, so the stack holds the children of about one
+    block per depth rather than whole levels of the chain.
+    """
+    stack = [np.array([[1], [1], [1], [0]], dtype=np.int64)]
+    while stack:
+        ns, sgs, tus, i0 = stack.pop()
+        lims = x // ns
+        caps = np.minimum(_theta_floors(rule, x, ns, sgs, cut=True), lims)
+        if caps.max() > limit:
+            k = int(np.argmax(caps > limit))
+            raise RangeError(f"chain cap {caps[k]} at n={ns[k]} beyond prime list limit {limit}")
+        hi = np.maximum(np.searchsorted(parr, caps, side="right"), i0)
+        lo = np.clip(np.searchsorted(parr, _isqrt(lims), side="right"), i0, hi)
+        yield np.stack((ns, sgs, tus, lo, hi))
+        idx = _slices(i0, lo - i0)
+        rep = np.repeat(np.arange(len(ns)), lo - i0)
+        p, sg, tu = parr[idx], sgs[rep], tus[rep]
+        m, spow, a, kids = ns[rep] * p, 1 + p, 2, []
+        while len(m):  # m = n*p^(a-1) <= x and spow = sigma(p^(a-1))
+            kids.append(np.stack((m, sg * spow, tu * a, idx + 1)))
+            keep = m <= x // p
+            m, p, sg, tu, spow, idx = (v[keep] for v in (m, p, sg, tu, spow, idx))
+            m, spow, a = m * p, spow * p + 1, a + 1
+        if kids:
+            kids = np.concatenate(kids, axis=1)
+            stack.extend(kids[:, i : i + _util.CHUNK] for i in range(0, kids.shape[1], _util.CHUNK))
+
+
+def _chain(rule, x):
+    """B(x)'s parent records as one (5, k) array, each one's leaf count, and all leaf primes."""
+    parr, blocks = _walk(rule, x)
+    recs = np.concatenate(list(blocks), axis=1)
+    lens = recs[4] - recs[3]
+    members = recs.shape[1] + int(lens.sum())
     if members > MEMBER_LIMIT:
         raise ResourceError(f"{members} chain members exceed budget {MEMBER_LIMIT}")
-    idx = np.repeat(lo - (np.cumsum(lens) - lens), lens)
-    idx += np.arange(len(idx))
-    return lens, parr[idx]
+    return recs, lens, parr[_slices(recs[3], lens)]
 
 
-def _theta_floors(rule, x, ns, sgs):
-    """floor(theta(n)) for arrays of members n with sigma(n); x stands for +inf."""
+def _theta_floors(rule, x, ns, sgs, cut=False):
+    """floor(theta(n)) for arrays of members n with sigma(n); x stands for +inf.
+
+    With cut, a floor above x may read x, as the walk's caps min(theta(n), x//n)
+    and verify_funceq's test theta(n) < x//n allow; without, one past int64 raises.
+    """
     if rule.kind != "custom" and int(x) * rule.t_num < 1 << 63:
         return rule.theta_floor(ns, sgs)
     # custom tables, and n*t_num past int64 (a float t such as 2.1 has a
     # 52-bit numerator): one Python integer per member
     floors = map(rule.theta_floor, ns.tolist(), sgs.tolist())
-    return np.array([x if f is None else f for f in floors], dtype=np.int64)
+    floors = [x if f is None or (cut and f > x) else f for f in floors]
+    if max(floors, default=0) >> 63:
+        raise RangeError(f"theta floor {max(floors)} beyond int64")
+    return np.array(floors, dtype=np.int64)
 
 
-def _tally(recs, parr, cuts):
-    """SeqStats of B at each ascending cutoff from the parent records of one walk."""
-    ns, tus, lo, hi = recs[:, 0], recs[:, 2], recs[:, 3], recs[:, 4]
-    out = []
-    for c in cuts:
-        leaves = np.clip(np.searchsorted(parr, c // ns, side="right"), lo, hi) - lo
-        inside = ns <= c
-        count = int(inside.sum() + leaves.sum())
-        out.append(SeqStats(c, count, int((tus * (inside + 2 * leaves)).sum())))
-    return out
+def _tally(parr, blocks, cuts):
+    """SeqStats of B at each ascending cutoff, adding up the record blocks of one walk."""
+    counts, taus = [0] * len(cuts), [0] * len(cuts)
+    for ns, _, tus, lo, hi in blocks:
+        for k, c in enumerate(cuts):
+            leaves = np.clip(np.searchsorted(parr, c // ns, side="right"), lo, hi) - lo
+            inside = ns <= c
+            counts[k] += int(inside.sum() + leaves.sum())
+            taus[k] += int((tus * (inside + 2 * leaves)).sum())
+    return [SeqStats(*row) for row in zip(cuts, counts, taus)]
 
 
 def generate_B(rule, x):
     """Sorted array of B(x)."""
-    recs, parr = _chain(rule, x)
-    lens, p = _leaves(recs, parr)
-    ns = recs[:, 0]
+    (ns, *_), lens, p = _chain(rule, x)
     return np.sort(np.concatenate([ns, np.repeat(ns, lens) * p]))
 
 
@@ -260,14 +274,12 @@ def chain_stats_multi(rule, cutoffs):
     cuts = sorted(int(c) for c in cutoffs)
     if not cuts or cuts[0] < 1:
         raise RangeError("cutoffs must be positive integers")
-    return _tally(*_chain(rule, cuts[-1]), cuts)
+    return _tally(*_walk(rule, cuts[-1]), cuts)
 
 
 def b_rows(rule, x):
     """Arrays (n, tau, theta_floor) over B(x), ascending in n."""
-    recs, parr = _chain(rule, x)
-    lens, p = _leaves(recs, parr)
-    n, sg, tu = recs[:, 0], recs[:, 1], recs[:, 2]
+    (n, sg, tu, _, _), lens, p = _chain(rule, x)
     ns = np.concatenate([n, np.repeat(n, lens) * p])
     order = np.argsort(ns)  # members are distinct, so any sort gives this order
     ns = ns[order]  # one unsorted column at a time; floors are elementwise
@@ -317,16 +329,16 @@ def rough_stats(x, y):
     """Exact Phi(x,y), S(x,y), and the rough harmonic sum (n=1 included)."""
     odd = _rough_mask(x, y)
     phi, tau_sum = _phi_S(odd, x)
-    harm = fsum(odd, lambda i, chunk: 1.0 / (2 * (np.flatnonzero(chunk) + i) + 1))
+    harm = _util.fsum(odd, lambda i, chunk: 1.0 / (2 * (np.flatnonzero(chunk) + i) + 1))
     return SeqStats(x, phi, tau_sum, harm)
 
 
 def dense_stats(x, t):
-    return _tally(*_chain(ThetaRule.dense(t), x), [x])[0]
+    return _tally(*_walk(ThetaRule.dense(t), x), [x])[0]
 
 
 def practical_stats(x):
-    return _tally(*_chain(ThetaRule.practical(), x), [x])[0]
+    return _tally(*_walk(ThetaRule.practical(), x), [x])[0]
 
 
 def factor_nr(m, rule, table):
@@ -350,7 +362,7 @@ def factor_nr(m, rule, table):
 
 def write_b_stream(rule, x, fh, threads=1):
     """One decimal integer per line, ascending; returns the count (threads is ignored)."""
-    return write_lines(fh, generate_B(rule, x))
+    return _util.write_lines(fh, generate_B(rule, x))
 
 
 def verify_funceq(x, rule):
@@ -370,17 +382,19 @@ def verify_funceq(x, rule):
     root = isqrt(x)
     lhs_tau = 2 * int((x // np.arange(1, root + 1, dtype=np.int64)).sum()) - root * root
 
-    recs, parr = _chain(rule, x)
-    (st,) = _tally(recs, parr, [x])
-    rhs_count, rhs_tau = st.count, st.tau_sum
-    ns, taus = recs[:, 0], recs[:, 2]
-    zs = x // ns
-    tfs = _theta_floors(rule, x, ns, recs[:, 1])
-    inner = tfs < zs
-    for z, w, tu in zip(*(a[inner].tolist() for a in (zs, tfs, taus))):
-        phi, tau_sum = _phi_S(_rough_mask(z, w), z)
-        rhs_tau += tu * (tau_sum - 1)
-        rhs_count += phi - 1
+    parr, blocks = _walk(rule, x)
+    rhs_count = rhs_tau = 0
+    for recs in blocks:
+        (st,) = _tally(parr, [recs], [x])
+        rhs_count += st.count
+        rhs_tau += st.tau_sum
+        zs = x // recs[0]
+        tfs = _theta_floors(rule, x, recs[0], recs[1], cut=True)
+        sel = tfs < zs
+        for z, w, tu in zip(zs[sel].tolist(), tfs[sel].tolist(), recs[2, sel].tolist()):
+            phi, tau_sum = _phi_S(_rough_mask(z, w), z)
+            rhs_tau += tu * (tau_sum - 1)
+            rhs_count += phi - 1
     return {
         "x": x,
         "theta": rule.name,

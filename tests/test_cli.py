@@ -160,8 +160,31 @@ class TestStats:
     def test_dense_needs_t(self, capsys):
         assert run(["stats", "dense", "--x", "1000"], capsys)[0] == 2
 
+    def test_dense_theta_past_int64(self, capsys):
+        # theta(n) = n*1e21 is past int64 from n = 1; every cap is x//n
+        code, out, _ = run(["stats", "dense", "--t", "1e21", "--x", "1000"], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "1000,1000,7069,"
+
+
+BIG_T = ["--theta", "dense", "--t", "1000000000000000000000"]
+
 
 class TestVerify:
+    def test_funceq_theta_past_int64(self, capsys):
+        # a floor past x//n is never an inner sum, and B(1000) is all of [1, 1000]
+        code, out, err = run(["verify", "funceq", *BIG_T, "--x", "1000"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "count_lhs = 1000", "count_rhs = 1000", "tau_lhs = 7069", "tau_rhs = 7069", "PASS"
+        ]
+
+    def test_series_theta_past_int64_is_usage_error(self, capsys):
+        # the series rows carry theta floors as int64
+        code, out, err = run(["verify", "L", *BIG_T, "--n", "100"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: theta floor 100000000000000000000000 beyond int64\n"
+
     def test_funceq_exact_pass(self, capsys):
         code, out, _ = run(
             ["verify", "funceq", "--theta", "dense", "--t", "2", "--x", "100000"],
@@ -193,8 +216,8 @@ class TestVerify:
 
     def test_funceq_above_rough_limit_refused_before_walk(self, capsys, monkeypatch):
         calls = []
-        walk = theta._chain
-        monkeypatch.setattr(theta, "_chain", lambda *a: calls.append(a) or walk(*a))
+        walk = theta._walk
+        monkeypatch.setattr(theta, "_walk", lambda *a: calls.append(a) or walk(*a))
         monkeypatch.setattr(theta, "ROUGH_LIMIT", 10**4)
         code, out, err = run(["verify", "funceq", "--x", "100000"], capsys)
         assert code == 2

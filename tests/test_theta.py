@@ -4,6 +4,7 @@ import io
 import math
 import re
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,8 +18,9 @@ from divmean.sieve import build_prime_list, build_spf_table, sigma, tau
 from divmean.theta import (
     SeqStats,
     ThetaRule,
+    _blocks,
     _chain,
-    _parents,
+    _isqrt,
     _phi_S,
     _primes_for_rule,
     _rough_mask,
@@ -118,13 +120,13 @@ class TestGenerate:
             assert got == want
 
     def test_sigma_tau_carried_exactly(self, spf_1e5):
-        recs, _ = _chain(ThetaRule.practical(), 3000)
-        for n, sg, tu, _lo, _hi in recs.tolist():
+        recs = _chain(ThetaRule.practical(), 3000)[0]
+        for n, sg, tu, _lo, _hi in recs.T.tolist():
             assert sg == sigma(n, spf_1e5)
             assert tu == tau(n, spf_1e5)
         # leaves carry 2*tau(n) and sigma(n)*(1+p); b_rows shows both for every member
         ns, taus, thetas = b_rows(ThetaRule.practical(), 3000)
-        assert len(ns) > len(recs)
+        assert len(ns) > recs.shape[1]
         for n, tu, tf in zip(ns.tolist(), taus.tolist(), thetas.tolist()):
             assert tu == tau(n, spf_1e5)
             assert tf == sigma(n, spf_1e5) + 1
@@ -426,9 +428,9 @@ class TestCustomRules:
         # leaves are counted, never expanded, so only b_rows reads their theta
         x = 1000
         full = {n: sigma(n, spf_1e5) + 1 for n in range(1, x + 1)}
-        recs, _ = _chain(ThetaRule.custom(full), x)
-        parents_only = ThetaRule.custom({n: full[n] for n in recs[:, 0].tolist()})
-        assert len(recs) < len(generate_B(ThetaRule.practical(), x))
+        ns = _chain(ThetaRule.custom(full), x)[0][0]
+        parents_only = ThetaRule.custom({n: full[n] for n in ns.tolist()})
+        assert len(ns) < len(generate_B(ThetaRule.practical(), x))
         assert np.array_equal(
             generate_B(parents_only, x), generate_B(ThetaRule.practical(), x)
         )
@@ -558,9 +560,123 @@ class TestEngineMatchesReferenceWalk:
             assert st_ == SeqStats(c, int(inside.sum()), int(taus[inside].sum()))
 
 
+def _reference_parents(rule, x, plist, limit):
+    """Parent records (n, sigma(n), tau(n), lo, hi) of B(x), one stack entry at a time.
+
+    plist holds every prime <= limit.  A stack entry (n, sigma(n), tau(n), i0)
+    may go on with the primes plist[i0:] up to cap = min(floor(theta(n)), x//n);
+    its leaves n*p, p > isqrt(x//n), are the slice plist[lo:hi], and smaller
+    primes give the children n*p^a.  This scalar walk is the reference the
+    records of the numpy block walk `theta._blocks` must equal.
+    """
+    stack = [(1, 1, 1, 0)]
+    while stack:
+        n, sg, tu, i0 = stack.pop()
+        lim = x // n
+        cap = rule.theta_floor(n, sg)
+        if cap is None or cap > lim:
+            cap = lim
+        if cap > limit:
+            raise RangeError(f"chain cap {cap} at n={n} beyond prime list limit {limit}")
+        hi = bisect_right(plist, cap, i0)
+        lo = bisect_right(plist, math.isqrt(lim), i0, hi)
+        yield n, sg, tu, lo, hi
+        for i in range(i0, lo):
+            p = plist[i]
+            m = n * p
+            spow = 1 + p
+            a = 2
+            while m <= x:
+                stack.append((m, sg * spow, tu * a, i + 1))
+                m *= p
+                spow = spow * p + 1
+                a += 1
+
+
+class _HalfSigma:
+    """theta(n) = (n + sigma(n))//2 + 1, at least n: neither dense nor practical."""
+
+    @staticmethod
+    def theta_floor(n, sg):
+        return (n + sg) // 2 + 1
+
+
+def _custom_rule(x):
+    """_HalfSigma as a custom table on the parents of its walk to x.
+
+    Only parents read theta, and a table over every n <= x would be checked
+    by trial division, entry by entry.
+    """
+    pl = build_prime_list(max(x, 2))
+    parents = _reference_parents(_HalfSigma, x, pl.primes.tolist(), pl.limit)
+    return ThetaRule.custom({n: _HalfSigma.theta_floor(n, sg) for n, sg, *_ in parents})
+
+
+class TestBlockWalk:
+    """The numpy block walk against the scalar reference walk, record for record."""
+
+    @pytest.mark.parametrize("x", [1, 2, 10**3, 10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("name", [*sorted(GATE_RULES), "custom"])
+    def test_records_match_reference_parents(self, name, x):
+        rule = _custom_rule(x) if name == "custom" else GATE_RULES[name]()
+        pl = _primes_for_rule(rule, x)
+        want = sorted(_reference_parents(rule, x, pl.primes.tolist(), pl.limit))
+        assert sorted(map(tuple, _chain(rule, x)[0].T.tolist())) == want
+
+    @pytest.mark.parametrize("name", ["practical", "dense-2", "dense-2.1"])
+    def test_small_blocks_give_the_same_records(self, name, monkeypatch):
+        # blocks of 7 parents: every level of children is cut into many blocks
+        rule, x, cuts = GATE_RULES[name](), 10**5, [10, 999, 10**5]
+        want = sorted(map(tuple, _chain(rule, x)[0].T.tolist()))
+        want_stats = chain_stats_multi(rule, cuts)
+        monkeypatch.setattr("divmean._util.CHUNK", 7)
+        pl = _primes_for_rule(rule, x)
+        blocks = list(_blocks(rule, x, pl.primes, pl.limit))
+        assert max(b.shape[1] for b in blocks) == 7
+        assert sorted(map(tuple, np.concatenate(blocks, axis=1).T.tolist())) == want
+        assert chain_stats_multi(rule, cuts) == want_stats
+
+    @pytest.mark.parametrize("x", [10**8, 10**9])
+    def test_practical_rows_of_the_repository(self, x):
+        want = {10**8: (7_266_286, 565_147_032), 10**9: (64_782_731, 6_150_906_187)}[x]
+        st_ = practical_stats(x)
+        assert (st_.count, st_.tau_sum) == want
+
+
+class TestIsqrt:
+    """The walk's vectorised isqrt against math.isqrt.
+
+    Its inputs are x//n <= x.  Every walk builds a prime list first, whose
+    2^27-entry budget caps x near 2.6e15 for the practical rule (primes up to
+    sqrt(7x)) and lower for any dense rule, far inside the 2^62 range tested.
+    """
+
+    def test_around_squares(self):
+        # k in [1, 2^22], in [2^31 - 2^22, 2^31], and within 2^16 of each power
+        # of two, where the float spacing of k^2 doubles
+        ends = [(1, 1 << 22), ((1 << 31) - (1 << 22), 1 << 31)]
+        ends += [((1 << j) - (1 << 16), (1 << j) + (1 << 16)) for j in range(23, 31)]
+        for lo, hi in ends:
+            k = np.arange(lo, hi + 1, dtype=np.int64)
+            sq = k * k
+            assert np.array_equal(_isqrt(sq), k)
+            assert np.array_equal(_isqrt(sq - 1), k - 1)
+            up = sq < 1 << 62  # (2^31)^2 + 1 is past the range
+            assert np.array_equal(_isqrt(sq[up] + 1), k[up])
+
+    def test_random_against_math_isqrt(self):
+        rng = np.random.default_rng(13)
+        a = rng.integers(0, 1 << 62, size=200_000, endpoint=True, dtype=np.int64)
+        k = rng.integers(1, 1 << 31, size=100_000, endpoint=True, dtype=np.int64)
+        a = np.concatenate([a, k * k - 1, k * k, np.minimum(k * k + 1, 1 << 62), [0, 1 << 62]])
+        assert _isqrt(a).tolist() == [math.isqrt(v) for v in a.tolist()]
+
+
 class TestPrimeCap:
     def test_short_prime_list_raises(self):
         # dense(2) at 1000 has caps up to 31 (n=32: min(64, 1000//32)); primes to 10 fall short
         pl = build_prime_list(10)
         with pytest.raises(RangeError, match="beyond prime list limit 10"):
-            _parents(ThetaRule.dense(2), 1000, pl.primes.tolist(), pl.limit)
+            list(_blocks(ThetaRule.dense(2), 1000, pl.primes, pl.limit))
+        with pytest.raises(RangeError, match="beyond prime list limit 10"):
+            list(_reference_parents(ThetaRule.dense(2), 1000, pl.primes.tolist(), pl.limit))
