@@ -10,10 +10,10 @@ def pmap_ordered(fn, items, threads=1):
 
 
 def write_lines(fh, values):
-    """Write an integer array one decimal per line, in joined chunks; returns its length."""
+    """Write an integer array one decimal per line, one format per chunk; returns its length."""
     for i in range(0, len(values), CHUNK):
-        fh.write("\n".join(map(str, values[i : i + CHUNK].tolist())))
-        fh.write("\n")
+        chunk = values[i : i + CHUNK].tolist()
+        fh.write(("%d\n" * len(chunk)) % tuple(chunk))
     return len(values)
 
 

@@ -13,8 +13,8 @@ residue refinement quietly uses the whole tabulated range so certificates
 carry a truncation error near the table's noise floor, recorded per
 certificate in truncation_V.
 
-scipy.special (exp1, gammaln) is imported inside the functions that call
-it: the import costs about 0.2 s, and only the constants lab needs it.
+E1 and log Gamma are scalar ports of the algorithms behind scipy.special's
+exp1 and gammaln, bit for bit, so no run path imports scipy.
 """
 
 import json
@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ContourError, PoleError, RangeError, SolverError
 from .funcs import (
+    EULER_GAMMA,
     EXP_NEG_2GAMMA,
     EXP_NEG_GAMMA,
     _merge_edges,
@@ -38,6 +39,7 @@ DELTA_BRACKET = (0.713611, 0.713614)
 _GL16 = np.polynomial.legendre.leggauss(16)
 _POLE_EPS = 1e-9
 _U_END = 40.0  # u-integrals stop here: e^{2J(u)} - 1 < 1e-18 beyond
+_Q_EPS = 1e-3  # Q_eval integrates [0, _Q_EPS] from a Taylor head
 _BISECT_HALF = 1e-4  # half side of the square around a bisection root of g
 _REFINE_HALF = 1e-5  # ... and around a root polished on the full table
 _WALK_MAX_PTS = 200_000  # points on one side of a contour walk
@@ -129,11 +131,9 @@ def _truncation_bound(v_from, sigma_min, xi):
 def _tail_envelope(end, p, total):
     """total plus the tail past the table: envelope 2^v / (7 Gamma(v+1)) times
     the larger end of the weight (v+1)^p on each unit step from end."""
-    from scipy.special import gammaln
-
     for k in range(60):
         a = end + k
-        env = math.exp((a + 1.0) * math.log(2.0) - float(gammaln(a + 1.0))) / 7.0
+        env = math.exp((a + 1.0) * math.log(2.0) - _lgam(a + 1.0)) / 7.0
         term = env * max((a + 1.0) ** p, (a + 2.0) ** p)
         total += term
         if term < 1e-18:
@@ -202,14 +202,66 @@ def _certificate(walk_ev, root, residual, gp, method, truncation_V, half):
     )
 
 
-def exp_integral_J(u):
-    """Principal exponential integral int_u^inf e^-t dt / t, u > 0."""
-    from scipy.special import exp1
+def _e1(x):
+    """E1(x) for x > 0 by E1XB of Zhang & Jin, Computation of Special Functions
+    (1996): the series up to x = 1, the continued fraction above.
 
+    Its operations are those of scipy.special.exp1, so the bits are too, with
+    gamma = EULER_GAMMA = 0.5772156649015329 (0.5772156649015328 moves the last
+    bit of about half the values below 1).  math's scalar exp and log keep the
+    bits off numpy's SIMD dispatch.
+    """
+    if x <= 1.0:
+        e1 = r = 1.0
+        for k in range(1, 26):
+            r = -r * k * x / (k + 1.0) ** 2
+            e1 += r
+            if abs(r) <= abs(e1) * 1e-15:
+                break
+        return -EULER_GAMMA - math.log(x) + x * e1
+    if math.isnan(x):
+        return x
+    t0 = 0.0
+    for k in range(20 + int(80.0 / x), 0, -1):
+        t0 = k / (1.0 + k / (x + t0))
+    return math.exp(-x) * (1.0 / (x + t0))
+
+
+# Stirling-series coefficients of Cephes lgam (Moshier, Cephes Math Library)
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+
+
+def _lgam(x):
+    """log Gamma(x) for x >= 13: the Stirling branch of Cephes lgam, bit for bit
+    the scipy.special.gammaln built on it."""
+    if not x >= 13.0:
+        raise RangeError(f"the Stirling branch of log Gamma needs x >= 13, got {x}")
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        a = a * p + c
+    return q + a / x
+
+
+def exp_integral_J(u):
+    """Principal exponential integral int_u^inf e^-t dt / t, u > 0; nan stays nan."""
     arr = np.asarray(u, dtype=float)
     if np.any(arr <= 0.0):
         raise RangeError("exponential integral needs u > 0")
-    out = exp1(arr)
+    out = np.array([_e1(x) for x in arr.ravel().tolist()]).reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -229,16 +281,42 @@ def _phi(u):
     return acc
 
 
+def _u_panels(lo):
+    """Gauss panels on [lo, _U_END], each 1.5 times as long as the one before."""
+    edges = [lo]
+    while edges[-1] < _U_END:
+        edges.append(min(edges[-1] * 1.5, _U_END))
+    return _panel_nodes(edges, _GL16, max_width=np.inf)
+
+
+@cache
+def _q_panels():
+    """Q_eval's three panel sets as (nodes, weights, integrand over u^s), read-only:
+    every call shares them."""
+    edges_low = [_Q_EPS]
+    while edges_low[-1] < 0.5:
+        edges_low.append(edges_low[-1] * 2.0)
+    # below 1/2, F(u) - b0/u^2 - b1/u with the u^-2 blowup cancelled in series
+    u, w = _panel_nodes(edges_low, _GL16, max_width=1.0)
+    low = (u, w, B0 * (np.expm1(_phi(u)) - 2.0 * u) / u**2 - 1.0)
+    u, w = _panel_nodes([edges_low[-1], 0.75, 1.0], _GL16, max_width=1.0)
+    mid = (u, w, np.expm1(2.0 * exp_integral_J(u)) - B0 / u**2 - B1 / u)
+    u, w = _u_panels(1.0)
+    panels = low, mid, (u, w, np.expm1(2.0 * exp_integral_J(u)))
+    for panel in panels:
+        for a in panel:
+            a.flags.writeable = False
+    return panels
+
+
 def Q_eval(s):
     """Divisor-side Mellin transform, continued across its poles at 1 and 0.
 
     Q(s) = int_0^1 u^s (F - b0 u^-2 - b1 u^-1) du + b0/(s-1) + b1/s
          + int_1^umax u^s F du,   F(u) = e^{2J(u)} - 1.
     """
-    from scipy.special import exp1
-
     _refuse_pole(complex(s))
-    eps = 1e-3
+    eps = _Q_EPS
     # [0, eps] exactly from the Taylor head of the regularized integrand
     c0, c1, c2 = 1.5 * B0 - 1.0, (4.0 / 9.0) * B0, -(1.0 / 144.0) * B0
     head = (
@@ -246,23 +324,8 @@ def Q_eval(s):
         + c1 * eps ** (s + 2) / (s + 2)
         + c2 * eps ** (s + 3) / (s + 3)
     )
-    edges_low = [eps]
-    while edges_low[-1] < 0.5:
-        edges_low.append(edges_low[-1] * 2.0)
-    # the integrand u^s * (F(u) - b0/u^2 - b1/u), below 1/2 with the u^-2
-    # blowup cancelled in series
-    u, w = _panel_nodes(edges_low, _GL16, max_width=1.0)
-    core = B0 * (np.expm1(_phi(u)) - 2.0 * u) / u**2 - 1.0
-    part_low = _quad_sum(w, np.power(u, s) * core)
-    u, w = _panel_nodes([edges_low[-1], 0.75, 1.0], _GL16, max_width=1.0)
-    core = np.expm1(2.0 * exp1(u)) - B0 / u**2 - B1 / u
-    part_mid = _quad_sum(w, np.power(u, s) * core)
-    edges_hi = [1.0]
-    while edges_hi[-1] < _U_END:
-        edges_hi.append(min(edges_hi[-1] * 1.5, _U_END))
-    n_hi, w_hi = _panel_nodes(edges_hi, _GL16, max_width=np.inf)
-    part_hi = _quad_sum(w_hi, np.power(n_hi, s) * np.expm1(2.0 * exp1(n_hi)))
-    out = head + part_low + part_mid + B0 / (s - 1.0) + B1 / s + part_hi
+    low, mid, hi = (_quad_sum(w, np.power(u, s) * core) for u, w, core in _q_panels())
+    out = head + low + mid + B0 / (s - 1.0) + B1 / s + hi
     return out.real if np.isrealobj(np.asarray(s)) else complex(out)
 
 
@@ -475,8 +538,6 @@ def buchstab_transform_check(s):
     """
     if not s > 1.0:
         raise RangeError(f"transform check needs s > 1, got {s}")
-    from scipy.special import exp1
-
     b = get_bundle()
     eps = 1e-3
     # e^{J} - 1 = e^{-gamma} u^{-1} e^{psi(u)} - 1 with psi analytic at 0
@@ -484,11 +545,8 @@ def buchstab_transform_check(s):
     head = EXP_NEG_GAMMA * sum(
         ck * eps ** (s - 1 + k) / (s - 1 + k) for k, ck in enumerate(c)
     ) - eps**s / s
-    edges = [eps]
-    while edges[-1] < _U_END:
-        edges.append(min(edges[-1] * 1.5, _U_END))
-    nodes, wts = _panel_nodes(edges, _GL16, max_width=np.inf)
-    body = float(_quad_sum(wts, nodes ** (s - 1.0) * np.expm1(exp1(nodes))))
+    nodes, wts = _u_panels(eps)
+    body = float(_quad_sum(wts, nodes ** (s - 1.0) * np.expm1(exp_integral_J(nodes))))
     lhs = s * (head + body)
     w_end = b.buchstab.grid_end
     edges_v = _merge_edges(list(range(1, int(w_end) + 1)), 1.0, w_end)

@@ -43,21 +43,36 @@ _W_BWD = (1.0 / 24, -5.0 / 24, 19.0 / 24, 9.0 / 24)
 
 
 def _cubic_interp(h, values, us):
-    """Block-clamped 4-point Lagrange interpolation on the grid 1 + k*h, unit blocks."""
-    t = (np.asarray(us, dtype=float) - 1.0) / h
+    """Block-clamped 4-point Lagrange interpolation on the grid 1 + k*h, unit blocks.
+
+    Sum over i of y_{j+i} * l_i(x), l_0 = -(x-1)(x-2)(x-3)/6 and so on, each
+    weight built in one buffer in that order of operations; a negated
+    factor is the same float as a negated divisor.
+    """
+    t = np.array(us, dtype=float)
+    t -= 1.0
+    t /= h
     block = round(1.0 / h)
     n_last = len(values) - 1
     k = np.clip(np.floor(t).astype(np.int64), 0, n_last - 1)
     blk = k // block
-    j0 = np.clip(k - 1, blk * block, np.minimum((blk + 1) * block, n_last) - 3)
-    x = t - j0
+    j = np.clip(k - 1, blk * block, np.minimum((blk + 1) * block, n_last) - 3)
+    x = np.subtract(t, j, out=t)
+    x1, x2, x3 = x - 1.0, x - 2.0, x - 3.0
     v = np.asarray(values)
-    y0, y1, y2, y3 = v[j0], v[j0 + 1], v[j0 + 2], v[j0 + 3]
-    l0 = -(x - 1) * (x - 2) * (x - 3) / 6.0
-    l1 = x * (x - 2) * (x - 3) / 2.0
-    l2 = -x * (x - 1) * (x - 3) / 2.0
-    l3 = x * (x - 1) * (x - 2) / 6.0
-    return y0 * l0 + y1 * l1 + y2 * l2 + y3 * l3
+    out = np.multiply(x1, x2)
+    out *= x3
+    out /= -6.0
+    out *= v.take(j)
+    w = np.empty_like(out)
+    for a, b, c, d in ((x, x2, x3, 2.0), (x, x1, x3, -2.0), (x, x1, x2, 6.0)):
+        np.multiply(a, b, out=w)
+        w *= c
+        w /= d
+        j += 1
+        w *= v.take(j)
+        out += w
+    return out
 
 
 @dataclass

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import exp1
+from scipy.special import exp1, gammaln
 
 from divmean import constants as C
 from divmean.errors import ContourError, PoleError, RangeError, SolverError
@@ -144,6 +144,73 @@ class TestExpIntegral:
             term_sum += (-1.0) ** (k + 1) * u**k / (k * math.factorial(k))
         assert abs(C.exp_integral_J(u) - (acc + term_sum)) < 1e-12
 
+    def test_nan_and_inf(self):
+        assert math.isnan(C.exp_integral_J(math.nan))
+        assert C.exp_integral_J(math.inf) == 0.0
+        got = C.exp_integral_J(np.array([[1.0, math.nan], [math.inf, 2.0]]))
+        assert got.shape == (2, 2)
+        assert np.isnan(got[0, 1]) and got[1, 0] == 0.0
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestSpecialPorts:
+    """The E1 and log Gamma ports give scipy's bits; scipy is the oracle only."""
+
+    def test_e1_sweep_matches_scipy(self, rng):
+        xs = np.concatenate(
+            [
+                np.geomspace(2e-9, 700.0, 40_000),
+                rng.uniform(1e-3, 0.5, 10_000),  # the series branch
+                rng.uniform(0.5, 1.0, 10_000),
+                rng.uniform(1.0, 50.0, 10_000),  # the continued fraction
+                [1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 5e-324, 1e300],
+            ]
+        )
+        _assert_same_bits(C.exp_integral_J(xs), exp1(xs))
+
+    def test_e1_on_the_quadrature_nodes(self):
+        # the nodes of Q_eval's panels and of buchstab_transform_check's
+        nodes = [u for u, _, _ in C._q_panels()] + [C._u_panels(1e-3)[0]]
+        for u in nodes:
+            _assert_same_bits(C.exp_integral_J(u), exp1(u))
+
+    def test_lgam_sweep_matches_scipy(self, rng):
+        xs = np.concatenate(
+            [
+                np.geomspace(13.0, 1e6, 40_000),
+                rng.uniform(13.0, 100.0, 10_000),
+                np.arange(13.0, 1100.0),  # both sides of the x = 1000 switch
+                [np.nextafter(1000.0, 0.0), 1e8, np.nextafter(1e8, 1e9), 1e12],
+            ]
+        )
+        got = np.array([C._lgam(x) for x in xs.tolist()])
+        _assert_same_bits(got, gammaln(xs))
+
+    def test_lgam_on_the_tail_envelope_points(self, bundle):
+        # _tail_envelope reads log Gamma at grid_end + 1, grid_end + 2, ...
+        xs = bundle.ratio.grid_end + 1.0 + np.arange(60.0)
+        _assert_same_bits(np.array([C._lgam(x) for x in xs.tolist()]), gammaln(xs))
+
+    def test_lgam_domain(self):
+        for x in (12.999, 1.0, math.nan):
+            with pytest.raises(RangeError):
+                C._lgam(x)
+
+    def test_q_panels_built_once(self, monkeypatch):
+        calls = []
+        e1 = C._e1
+        monkeypatch.setattr(C, "_e1", lambda x: calls.append(x) or e1(x))
+        C._q_panels.cache_clear()
+        first = C.Q_eval(0.5)
+        e1_nodes = sum(len(u) for u, _, _ in C._q_panels()[1:])  # the mid and high panels
+        assert len(calls) == e1_nodes
+        assert C.Q_eval(0.5) == first
+        assert C.Q_eval(0.25 + 1j) != first
+        assert len(calls) == e1_nodes
+
 
 class TestDivisorTransform:
     def test_small_u_taylor_oracle(self):
@@ -158,6 +225,36 @@ class TestDivisorTransform:
             C.Q_eval(0.0)
         with pytest.raises(PoleError):
             C.Q_eval(1.0)
+
+    @pytest.mark.parametrize("s", [0.7136125, 2.0, -0.5, 0.25 + 3j])
+    def test_matches_scipy_built_reference(self, s):
+        # the integrand rebuilt on every call, with scipy's exp1, as Q_eval
+        # once did: the cached panels and the E1 port keep every bit
+        from divmean.funcs import _panel_nodes
+
+        eps = 1e-3
+        c0, c1, c2 = 1.5 * C.B0 - 1.0, (4.0 / 9.0) * C.B0, -(1.0 / 144.0) * C.B0
+        head = (
+            c0 * eps ** (s + 1) / (s + 1)
+            + c1 * eps ** (s + 2) / (s + 2)
+            + c2 * eps ** (s + 3) / (s + 3)
+        )
+        edges_low = [eps]
+        while edges_low[-1] < 0.5:
+            edges_low.append(edges_low[-1] * 2.0)
+        u, w = _panel_nodes(edges_low, C._GL16, max_width=1.0)
+        core = C.B0 * (np.expm1(C._phi(u)) - 2.0 * u) / u**2 - 1.0
+        part_low = ((np.power(u, s) * core) * w).sum()
+        u, w = _panel_nodes([edges_low[-1], 0.75, 1.0], C._GL16, max_width=1.0)
+        core = np.expm1(2.0 * exp1(u)) - C.B0 / u**2 - C.B1 / u
+        part_mid = ((np.power(u, s) * core) * w).sum()
+        edges_hi = [1.0]
+        while edges_hi[-1] < C._U_END:
+            edges_hi.append(min(edges_hi[-1] * 1.5, C._U_END))
+        u, w = _panel_nodes(edges_hi, C._GL16, max_width=np.inf)
+        part_hi = ((np.power(u, s) * np.expm1(2.0 * exp1(u))) * w).sum()
+        want = head + part_low + part_mid + C.B0 / (s - 1.0) + C.B1 / s + part_hi
+        assert C.Q_eval(s) == (want.real if isinstance(s, float) else complex(want))
 
     def test_gamma_bridge_at_2(self):
         lhs = 3.0 * C.Q_eval(2.0)

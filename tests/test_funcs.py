@@ -255,6 +255,43 @@ def test_exact_pieces_hand_over_to_grid(name, closed, switch, bundle):
             assert got == _cubic_interp(fn.grid_step, fn.grid_values, [u])[0], (name, u)
 
 
+def _reference_cubic_interp(h, values, us):
+    """The textbook form _cubic_interp replaced: each Lagrange weight and gather
+    a fresh array; the in-place interpolant must give the same bits."""
+    t = (np.asarray(us, dtype=float) - 1.0) / h
+    block = round(1.0 / h)
+    n_last = len(values) - 1
+    k = np.clip(np.floor(t).astype(np.int64), 0, n_last - 1)
+    blk = k // block
+    j0 = np.clip(k - 1, blk * block, np.minimum((blk + 1) * block, n_last) - 3)
+    x = t - j0
+    v = np.asarray(values)
+    y0, y1, y2, y3 = v[j0], v[j0 + 1], v[j0 + 2], v[j0 + 3]
+    l0 = -(x - 1) * (x - 2) * (x - 3) / 6.0
+    l1 = x * (x - 2) * (x - 3) / 2.0
+    l2 = -x * (x - 1) * (x - 3) / 2.0
+    l3 = x * (x - 1) * (x - 2) / 6.0
+    return y0 * l0 + y1 * l1 + y2 * l2 + y3 * l3
+
+
+@pytest.mark.parametrize("name", ["buchstab", "ratio", "growth"])
+def test_cubic_interp_bit_identical_to_reference(name, bundle, rng):
+    fn = getattr(bundle, name)
+    g = fn.grid
+    # random points, every node, block edges from both sides, and past both ends
+    us = np.concatenate(
+        [
+            rng.uniform(g[0], g[-1], 50_000),
+            g,
+            np.nextafter(g[1:], 0.0),
+            np.nextafter(g[:-1], np.inf),
+            [g[0] - 0.25, g[-1] + 0.25],
+        ]
+    )
+    got = _cubic_interp(fn.grid_step, fn.grid_values, us)
+    _assert_same_bits(got, _reference_cubic_interp(fn.grid_step, fn.grid_values, us))
+
+
 def _stepwise_growth_grid(ratio):
     """Reference lambda march: one Python step per grid node.
 
@@ -288,7 +325,7 @@ def _stepwise_growth_grid(ratio):
         weights = (rad[:, None] * wg[None, :]).ravel()
         lam_at = nodes.copy()
         m = lam_at >= 1.0
-        lam_at[m] = _cubic_interp(h, lam, lam_at[m])
+        lam_at[m] = _reference_cubic_interp(h, lam, lam_at[m])
         integrand = lam_at * ratio.eval_many((v - nodes) / (nodes + 1.0)) / (nodes + 1.0)
         lam[k] = v - float((integrand * weights).sum())
     return lam
@@ -394,6 +431,17 @@ class TestLaziness:
         out = _fresh_python(
             "import divmean.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))"
+        )
+        assert out.strip() == "[]"
+
+    def test_constants_commands_load_no_scipy(self):
+        out = _fresh_python(
+            "import contextlib, io\n"
+            "from divmean.cli import main\n"
+            "for argv in (['constants', '--json'], ['constants', '--v', '6']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         assert out.strip() == "[]"
 

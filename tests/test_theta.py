@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divmean import _util
 from divmean.errors import ConfigError, RangeError, ResourceError
 from divmean.sieve import build_prime_list, build_spf_table, sigma, tau
 from divmean.theta import (
@@ -135,6 +136,24 @@ class TestGenerate:
         buf = io.StringIO()
         write_b_stream(ThetaRule.dense(2), 20, buf)
         assert buf.getvalue() == "".join(f"{n}\n" for n in B_DENSE2_20)
+
+    def test_write_lines_matches_joined_chunks(self, monkeypatch, rng):
+        # one %-format per chunk gives the bytes of a newline join per chunk;
+        # a short chunk makes the arrays cross chunk boundaries
+        monkeypatch.setattr("divmean._util.CHUNK", 7)
+        for values in (
+            np.array([], dtype=np.int64),
+            np.array([1], dtype=np.int64),
+            np.arange(1, 8, dtype=np.int64),
+            np.sort(rng.integers(1, 2**62, 100)),
+        ):
+            joined = "".join(
+                "\n".join(map(str, values[i : i + 7].tolist())) + "\n"
+                for i in range(0, len(values), 7)
+            )
+            buf = io.StringIO()
+            assert _util.write_lines(buf, values) == len(values)
+            assert buf.getvalue() == joined
 
 
 class TestEquivalence:
