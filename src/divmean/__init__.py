@@ -1,6 +1,14 @@
 """divmean: exact divisor statistics for rough, dense, and practical numbers,
 the delay-equation special functions behind their mean values, and the
-analytic constants that govern the growth rates."""
+analytic constants that govern the growth rates.
+
+The submodules theta, funcs, constants and report are registered lazily: each
+one's body runs on the first read of one of its attributes, so a command runs
+only the modules it calls into.  The sieve re-exports below stay eager.
+"""
+
+import importlib.util
+import sys
 
 from .errors import (
     ConfigError,
@@ -22,3 +30,17 @@ from .sieve import (
 )
 
 __version__ = "0.1.0"
+
+
+def _lazy(name):
+    """Put divmean.<name> in sys.modules and on the package, its body not yet run."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    globals()[name] = module
+    spec.loader.exec_module(module)
+
+
+for _name in ("theta", "funcs", "constants", "report"):
+    _lazy(_name)

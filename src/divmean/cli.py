@@ -10,38 +10,9 @@ import math
 import sys
 from fractions import Fraction
 
+from . import constants, report, theta
 from ._util import fmt15, write_lines
-from .constants import (
-    constants_document,
-    document_to_json,
-    find_delta_via_Q,
-    find_delta_via_g,
-    lambda0_via_I,
-    lambda1_closed_form,
-    root_certificate,
-)
 from .errors import DivmeanError
-from .report import (
-    L_partial_multi,
-    c_theta_breakdown,
-    compare_dense,
-    compare_rough,
-    emit_figure_data,
-    fit_nu_practical,
-    rows_to_csv,
-    rows_to_jsonl,
-    tabulate_fn,
-)
-from .theta import (
-    ThetaRule,
-    chain_stats_multi,
-    dense_stats,
-    generate_B,
-    practical_stats,
-    rough_members,
-    rough_stats,
-    verify_funceq,
-)
 
 
 def _fraction(text):
@@ -73,10 +44,10 @@ def _int_list(text):
 
 def _theta_rule(name, t):
     if name == "practical":
-        return ThetaRule.practical()
+        return theta.ThetaRule.practical()
     if t is None:
         raise DivmeanError("dense rule needs --t")
-    return ThetaRule.dense(t)
+    return theta.ThetaRule.dense(t)
 
 
 def _emit(text, path):
@@ -89,21 +60,21 @@ def _emit(text, path):
 
 def _cmd_constants(args):
     if args.json:
-        _emit(document_to_json(constants_document()) + "\n", args.out)
+        _emit(constants.document_to_json(constants.constants_document()) + "\n", args.out)
         return 0
-    cert_g = find_delta_via_g(args.v)
-    cert_q = find_delta_via_Q()
-    cert_full = root_certificate("delta")
-    pair = root_certificate("pair")
-    minus1 = root_certificate("minus_one")
+    cert_g = constants.find_delta_via_g(args.v)
+    cert_q = constants.find_delta_via_Q()
+    cert_full = constants.root_certificate("delta")
+    pair = constants.root_certificate("pair")
+    minus1 = constants.root_certificate("minus_one")
     lines = [
         f"delta via g (V={fmt15(args.v)}) = {fmt15(cert_g.location.real)}",
         f"delta via transform = {fmt15(cert_q.location.real)}",
         f"delta refined (full grid) = {fmt15(cert_full.location.real)}",
         f"lambda0 via residue = {fmt15(cert_full.residue.real)}",
-        f"lambda0 via integral = {fmt15(lambda0_via_I(cert_full.location.real))}",
+        f"lambda0 via integral = {fmt15(constants.lambda0_via_I(cert_full.location.real))}",
         f"lambda1 via residue = {fmt15(minus1.residue.real)}",
-        f"lambda1 closed form = {fmt15(lambda1_closed_form())}",
+        f"lambda1 closed form = {fmt15(constants.lambda1_closed_form())}",
         "pair zero = {} + {}i".format(
             fmt15(pair.location.real), fmt15(pair.location.imag)
         ),
@@ -116,7 +87,7 @@ def _cmd_constants(args):
 
 
 def _cmd_fn(args):
-    _emit(tabulate_fn(args.kind, args.lo, args.hi, args.step), args.out)
+    _emit(report.tabulate_fn(args.kind, args.lo, args.hi, args.step), args.out)
     return 0
 
 
@@ -125,9 +96,9 @@ def _cmd_enumerate(args):
     if args.kind == "rough":
         if args.y is None:
             raise DivmeanError("rough enumeration needs --y")
-        members, what = rough_members(args.x, args.y), "rough"
+        members, what = theta.rough_members(args.x, args.y), "rough"
     else:
-        members, what = generate_B(_theta_rule(args.kind, args.t), args.x), "chain"
+        members, what = theta.generate_B(_theta_rule(args.kind, args.t), args.x), "chain"
     if args.out:
         with open(args.out, "w") as fh:
             write_lines(fh, members)
@@ -141,13 +112,13 @@ def _cmd_stats(args):
     if args.kind == "rough":
         if args.y is None:
             raise DivmeanError("rough stats need --y")
-        st = rough_stats(args.x, args.y)
+        st = theta.rough_stats(args.x, args.y)
     elif args.kind == "dense":
         if args.t is None:
             raise DivmeanError("dense stats need --t")
-        st = dense_stats(args.x, args.t)
+        st = theta.dense_stats(args.x, args.t)
     else:
-        st = practical_stats(args.x)
+        st = theta.practical_stats(args.x)
     harm = fmt15(st.harmonic) if st.harmonic is not None else ""
     _emit(
         f"x,count,tau_sum,harmonic\n{st.x},{st.count},{st.tau_sum},{harm}\n",
@@ -165,17 +136,17 @@ def _verdict(text, ok, args):
 def _cmd_verify(args):
     if args.kind in ("rough", "dense"):
         if args.kind == "rough":
-            rows = compare_rough(args.x, args.y)
+            rows = report.compare_rough(args.x, args.y)
         elif args.t is None:
             raise DivmeanError("dense verification needs --t")
         else:
-            rows = compare_dense(args.x, args.t)
-        text = rows_to_jsonl(rows) if args.json else rows_to_csv(rows)
+            rows = report.compare_dense(args.x, args.t)
+        text = report.rows_to_jsonl(rows) if args.json else report.rows_to_csv(rows)
         return _verdict(text, all(r.ok for r in rows), args)
     if args.json:
         raise DivmeanError(f"verify {args.kind} has no --json output")
     if args.kind == "practical":
-        pairs = fit_nu_practical(args.xs)
+        pairs = report.fit_nu_practical(args.xs)
         lines = ["x,ratio"]
         lines += [f"{x},{fmt15(r)}" for x, r in pairs]
         ratios = [r for _, r in pairs]
@@ -186,7 +157,7 @@ def _cmd_verify(args):
     if args.kind == "L":
         rule = _theta_rule(args.theta, args.t)
         ns = sorted({max(2, args.n // 100), max(2, args.n // 10), args.n})
-        vals = L_partial_multi(rule, ns)
+        vals = report.L_partial_multi(rule, ns)
         lines = ["N,L_partial"] + [f"{n},{fmt15(v)}" for n, v in zip(ns, vals)]
         ok = all(b >= a for a, b in zip(vals, vals[1:])) and all(
             0.0 < v <= 1.0 for v in vals
@@ -194,9 +165,9 @@ def _cmd_verify(args):
         return _verdict("\n".join(lines) + "\n", ok, args)
     if args.kind == "ctheta":
         rule = _theta_rule(args.theta, args.t)
-        info = c_theta_breakdown(rule, args.n)
+        info = report.c_theta_breakdown(rule, args.n)
         bx = 10 * args.n if args.count_x is None else args.count_x
-        (st,) = chain_stats_multi(rule, [bx])
+        (st,) = theta.chain_stats_multi(rule, [bx])
         target = st.count * math.log(bx) / bx
         gap = abs(info["value"] - target)
         lines = [
@@ -208,13 +179,13 @@ def _cmd_verify(args):
         return _verdict("\n".join(lines) + "\n", gap < 0.1, args)
     # funceq: exact integer identity between direct sums and chain splits
     rule = _theta_rule(args.theta, args.t)
-    res = verify_funceq(args.x, rule)
+    res = theta.verify_funceq(args.x, rule)
     keys = ("count_lhs", "count_rhs", "tau_lhs", "tau_rhs")
     return _verdict("".join(f"{k} = {res[k]}\n" for k in keys), res["exact"], args)
 
 
 def _cmd_figures(args):
-    _emit(emit_figure_data(args.kind, args.lo, args.hi, args.step), args.out)
+    _emit(report.emit_figure_data(args.kind, args.lo, args.hi, args.step), args.out)
     return 0
 
 

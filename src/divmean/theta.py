@@ -178,7 +178,7 @@ def _slices(starts, lens):
 
 
 def _walk(rule, x):
-    """The prime array of B(x)'s walk, and a generator of its parent-record blocks."""
+    """The prime array of B(x)'s walk, and a generator of its (parent records, caps) blocks."""
     if x < 1:
         raise RangeError(f"x must be >= 1, got {x}")
     primes = _primes_for_rule(rule, x)
@@ -194,7 +194,8 @@ def _blocks(rule, x, parr, limit):
     prime would exceed p.  So the leaves of n are n*p for p in parr[lo:hi],
     each with tau = 2*tau(n), and they are never pushed.  Smaller primes give
     the children n*p^a, one pass per exponent a, pushed in blocks.  A block
-    yields the (5, k) int64 rows n, sigma(n), tau(n), lo, hi.  Pending blocks
+    yields the (5, k) int64 rows n, sigma(n), tau(n), lo, hi, and its k caps
+    apart, so that the records _chain keeps do not grow.  Pending blocks
     are walked depth-first, so the stack holds the children of about one
     block per depth rather than whole levels of the chain.
     """
@@ -208,7 +209,7 @@ def _blocks(rule, x, parr, limit):
             raise RangeError(f"chain cap {caps[k]} at n={ns[k]} beyond prime list limit {limit}")
         hi = np.maximum(np.searchsorted(parr, caps, side="right"), i0)
         lo = np.clip(np.searchsorted(parr, _isqrt(lims), side="right"), i0, hi)
-        yield np.stack((ns, sgs, tus, lo, hi))
+        yield np.stack((ns, sgs, tus, lo, hi)), caps
         idx = _slices(i0, lo - i0)
         rep = np.repeat(np.arange(len(ns)), lo - i0)
         p, sg, tu = parr[idx], sgs[rep], tus[rep]
@@ -226,7 +227,7 @@ def _blocks(rule, x, parr, limit):
 def _chain(rule, x):
     """B(x)'s parent records as one (5, k) array, each one's leaf count, and all leaf primes."""
     parr, blocks = _walk(rule, x)
-    recs = np.concatenate(list(blocks), axis=1)
+    recs = np.concatenate([rec for rec, _ in blocks], axis=1)
     lens = recs[4] - recs[3]
     members = recs.shape[1] + int(lens.sum())
     if members > MEMBER_LIMIT:
@@ -238,7 +239,7 @@ def _theta_floors(rule, x, ns, sgs, cut=False):
     """floor(theta(n)) for arrays of members n with sigma(n); x stands for +inf.
 
     With cut, a floor above x may read x, as the walk's caps min(theta(n), x//n)
-    and verify_funceq's test theta(n) < x//n allow; without, one past int64 raises.
+    allow; without, one past int64 raises.
     """
     if rule.kind != "custom" and int(x) * rule.t_num < 1 << 63:
         return rule.theta_floor(ns, sgs)
@@ -254,7 +255,7 @@ def _theta_floors(rule, x, ns, sgs, cut=False):
 def _tally(parr, blocks, cuts):
     """SeqStats of B at each ascending cutoff, adding up the record blocks of one walk."""
     counts, taus = [0] * len(cuts), [0] * len(cuts)
-    for ns, _, tus, lo, hi in blocks:
+    for (ns, _, tus, lo, hi), _ in blocks:
         for k, c in enumerate(cuts):
             leaves = np.clip(np.searchsorted(parr, c // ns, side="right"), lo, hi) - lo
             inside = ns <= c
@@ -371,7 +372,9 @@ def verify_funceq(x, rule):
     Inner sum runs over 2 <= r <= x/n with P-(r) > theta(n), the theta(n)-rough
     r: Phi(x/n, theta(n)) - 1 of them with tau sum S(x/n, theta(n)) - 1.  It is
     empty unless theta(n) < x//n, which no leaf n*p meets: p*p > x//n, so
-    theta(n*p) >= p > x//(n*p).  So the parent records give every term.
+    theta(n*p) >= p > x//(n*p).  So the parent records give every term, and
+    the walk's cap min(floor(theta(n)), x//n) gives both the test and the
+    bound: it is below x//n exactly when theta(n) is, and then equals it.
     Checked for f = 1 and f = tau with integer arithmetic end to end.
     """
     if x < 1:
@@ -384,14 +387,13 @@ def verify_funceq(x, rule):
 
     parr, blocks = _walk(rule, x)
     rhs_count = rhs_tau = 0
-    for recs in blocks:
-        (st,) = _tally(parr, [recs], [x])
+    for recs, caps in blocks:
+        (st,) = _tally(parr, [(recs, caps)], [x])
         rhs_count += st.count
         rhs_tau += st.tau_sum
         zs = x // recs[0]
-        tfs = _theta_floors(rule, x, recs[0], recs[1], cut=True)
-        sel = tfs < zs
-        for z, w, tu in zip(zs[sel].tolist(), tfs[sel].tolist(), recs[2, sel].tolist()):
+        sel = caps < zs
+        for z, w, tu in zip(zs[sel].tolist(), caps[sel].tolist(), recs[2, sel].tolist()):
             phi, tau_sum = _phi_S(_rough_mask(z, w), z)
             rhs_tau += tu * (tau_sum - 1)
             rhs_count += phi - 1

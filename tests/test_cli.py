@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from divmean import cli, constants, report, sieve, theta
+from divmean import constants, report, sieve, theta
 from divmean.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -137,7 +137,7 @@ class TestMemberBudget:
         def no_memory(rule, x):
             raise MemoryError("Unable to allocate 494. MiB for an array")
 
-        monkeypatch.setattr(cli, "generate_B", no_memory)
+        monkeypatch.setattr(theta, "generate_B", no_memory)
         code, out, err = run(self.CASES[0], capsys)
         assert code == 2
         assert out == ""

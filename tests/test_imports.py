@@ -2,10 +2,13 @@
 and every module-level private name is read somewhere in the package.
 
 __init__.py is left out of the import check: its imports are the package's
-re-exports.
+re-exports.  A command runs only the module bodies it reads.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +78,44 @@ def test_no_unused_imports(path):
 def test_no_unread_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert _unread_private_names(sources) == []
+
+
+LAZY = ("theta", "funcs", "constants", "report")
+
+# (commands run in one fresh interpreter, modules whose bodies must have run,
+# modules whose bodies must not have)
+_COMMAND_MODULES = [
+    ([], set(), set(LAZY)),
+    (
+        [["stats", "practical", "--x", "1000"], ["enumerate", "practical", "--x", "1000"]],
+        {"theta"},
+        {"funcs", "constants", "report"},
+    ),
+    ([["constants", "--v", "5"]], {"constants", "funcs"}, {"report", "theta"}),
+    ([["fn", "xi", "--to", "3"]], {"report"}, set()),
+]
+
+
+@pytest.mark.parametrize(
+    "argvs,ran,idle", _COMMAND_MODULES, ids=["import", "chain", "constants", "fn"]
+)
+def test_commands_run_only_the_modules_they_read(argvs, ran, idle):
+    # a lazy module that has run is a plain module again
+    code = (
+        "import contextlib, importlib.util, io, json, sys\n"
+        "from divmean.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        f"print(json.dumps([[m for m in {LAZY!r}\n"
+        "    if type(sys.modules['divmean.' + m]) is not importlib.util._LazyModule],\n"
+        "    'numpy.polynomial' in sys.modules]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    done, polynomial = json.loads(proc.stdout)
+    assert ran <= set(done) and not idle & set(done), done
+    if "funcs" in idle:  # only the quadrature tables of funcs and constants load it
+        assert not polynomial

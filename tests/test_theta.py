@@ -385,6 +385,18 @@ class TestCountingIdentity:
         monkeypatch.setattr("divmean.theta.MEMBER_LIMIT", 1)
         assert verify_funceq(x, rule) == want
 
+    def test_theta_read_once_per_parent(self, monkeypatch):
+        # a float t takes the one-Python-call-per-member floor path; the inner
+        # sums read the walk's caps, so theta is evaluated once per parent
+        rule, x = ThetaRule.dense(2.1), 10**5
+        parents = _chain(rule, x)[0][0].tolist()
+        calls, floor = [], ThetaRule.theta_floor
+        monkeypatch.setattr(
+            ThetaRule, "theta_floor", lambda self, n, sg=None: calls.append(n) or floor(self, n, sg)
+        )
+        assert verify_funceq(x, rule)["exact"]
+        assert sorted(calls) == sorted(parents)
+
 
 def _bulk_tau(x):
     # hyperbola fill: each divisor pair (d, n/d) with d*d <= n adds 2,
@@ -650,7 +662,7 @@ class TestBlockWalk:
         want_stats = chain_stats_multi(rule, cuts)
         monkeypatch.setattr("divmean._util.CHUNK", 7)
         pl = _primes_for_rule(rule, x)
-        blocks = list(_blocks(rule, x, pl.primes, pl.limit))
+        blocks = [rec for rec, _ in _blocks(rule, x, pl.primes, pl.limit)]
         assert max(b.shape[1] for b in blocks) == 7
         assert sorted(map(tuple, np.concatenate(blocks, axis=1).T.tolist())) == want
         assert chain_stats_multi(rule, cuts) == want_stats

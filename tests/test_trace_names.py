@@ -28,6 +28,11 @@ def _traced_list(name):
     raise AssertionError(f"{name} not found in {TRACED}")
 
 
+def _pythonpath():
+    src = Path(__file__).resolve().parents[1] / "src"
+    return os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+
+
 @pytest.mark.parametrize(
     "entry", _traced_list("SPANNED") + _traced_list("COUNTED"), ids=".".join
 )
@@ -38,6 +43,21 @@ def test_traced_name_resolves(entry):
         assert hasattr(obj, attr), f"divmean.{mod} has no {'.'.join(path)}"
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def test_cli_import_registers_every_traced_module():
+    # install() reads sys.modules["divmean.<mod>"] with no default right after
+    # import divmean.cli, so each module must be there, its body run or not
+    want = {f"divmean.{mod}" for mod, *_ in _traced_list("SPANNED") + _traced_list("COUNTED")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, divmean.cli; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": _pythonpath()},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert want - set(proc.stdout.split()) == set()
 
 
 # (divmean arguments, {span: the work counts it must record}) of cheap runs
@@ -70,12 +90,10 @@ _TRACE_RUNS = [
 @pytest.mark.parametrize("args,want", _TRACE_RUNS, ids=[" ".join(a[:2]) for a, _ in _TRACE_RUNS])
 def test_traced_run_records_spans(args, want, tmp_path):
     # a count reader that no longer fits its return value fails the run
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(TRACED), "spans.json", "--", *args],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": _pythonpath()},
         capture_output=True,
         text=True,
         timeout=300,
