@@ -8,7 +8,12 @@ only the modules it calls into.  The sieve re-exports below stay eager.
 """
 
 import importlib.util
+import os
 import sys
+
+# No divmean sum goes through BLAS, yet an OpenBLAS worker thread spins idle
+# after each numpy import; set before .sieve loads numpy, unless already set.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (
     ConfigError,

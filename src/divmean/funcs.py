@@ -10,7 +10,9 @@ dyadic grid, then served through block-clamped cubic interpolation:
 All three are smooth inside unit blocks but kink at integer arguments, so
 every quadrature stencil and every interpolation stencil is clamped to one
 block: nothing ever straddles a kink.  Grid abscissas 1 + k*2^-m are exact
-binary floats, so block membership is never ambiguous.
+binary floats, so block membership is never ambiguous.  get_bundle() builds
+each table on its first read and marches the growth grid only through the
+last node a read's interpolation stencil touches.
 """
 
 import math
@@ -30,9 +32,11 @@ OMEGA_BLOCKS = 13
 XI_BLOCKS = 16
 LAMBDA_STEP_BITS = 7
 LAMBDA_VMAX = 50
-# rows of the lambda march quadratured together: a row near v = 50 has about
-# 1,100 Gauss nodes, so a batch of 64 rows keeps each temporary under 1 MB
-LAMBDA_BATCH_ROWS = 64
+# rows of the lambda march quadratured together: the fastest in a sweep of
+# 16 to 96 rows (a full march took 0.34 s at 24 and 32 rows, 0.42 s at 64 and
+# 0.45 s at 96 on a 2-vCPU Xeon); a row near v = 50 has about 1,100 Gauss
+# nodes, so each temporary of a batch stays under 0.3 MB
+LAMBDA_BATCH_ROWS = 32
 
 # integral of a cubic over one step from 4 consecutive nodes: the panel
 # [x_p, x_{p+1}] uses (p-1..p+2) inside a block, a one-sided stencil at
@@ -42,21 +46,48 @@ _W_FWD = (9.0 / 24, 19.0 / 24, -5.0 / 24, 1.0 / 24)
 _W_BWD = (1.0 / 24, -5.0 / 24, 19.0 / 24, 9.0 / 24)
 
 
-def _cubic_interp(h, values, us):
-    """Block-clamped 4-point Lagrange interpolation on the grid 1 + k*h, unit blocks.
+@cache
+def _stencil_shift(block):
+    """j - k at each block offset k mod block, where a stencil starts at node j.
 
-    Sum over i of y_{j+i} * l_i(x), l_0 = -(x-1)(x-2)(x-3)/6 and so on, each
-    weight built in one buffer in that order of operations; a negated
-    factor is the same float as a negated divisor.
+    A stencil starts one node back, but at a block's first or last node it
+    is clamped to the block's first or last four nodes, so it never
+    crosses a kink.
+    """
+    r = np.arange(block)
+    return np.clip(r - 1, 0, block - 3) - r
+
+
+def _stencil(h, n_nodes, us):
+    """t = (u-1)/h and the first node j of the stencil u reads, on 1 + k*h.
+
+    j = k + _stencil_shift[k mod block] with k = trunc(t) clamped to the
+    grid of n_nodes nodes; every grid spans whole unit blocks, so the block
+    of k is the block of the stencil.
     """
     t = np.array(us, dtype=float)
     t -= 1.0
     t /= h
     block = round(1.0 / h)
-    n_last = len(values) - 1
-    k = np.clip(np.floor(t).astype(np.int64), 0, n_last - 1)
-    blk = k // block
-    j = np.clip(k - 1, blk * block, np.minimum((blk + 1) * block, n_last) - 3)
+    k = t.astype(np.int64)
+    np.clip(k, 0, n_nodes - 2, out=k)
+    j = _stencil_shift(block).take(k & (block - 1))
+    j += k
+    return t, j
+
+
+def _cubic_interp(h, values, us, fill=None):
+    """Block-clamped 4-point Lagrange interpolation on the grid 1 + k*h, unit blocks.
+
+    u reads the nodes j..j+3 of _stencil; fill, when given, is called with
+    j.max() + 3, the last node read, before any node is read.
+    Sum over i of y_{j+i} * l_i(x), l_0 = -(x-1)(x-2)(x-3)/6 and so on, each
+    weight built in one buffer in that order of operations; a negated
+    factor is the same float as a negated divisor.
+    """
+    t, j = _stencil(h, len(values), us)
+    if fill is not None:
+        fill(int(j.max()) + 3)
     x = np.subtract(t, j, out=t)
     x1, x2, x3 = x - 1.0, x - 2.0, x - 3.0
     v = np.asarray(values)
@@ -65,12 +96,12 @@ def _cubic_interp(h, values, us):
     out /= -6.0
     out *= v.take(j)
     w = np.empty_like(out)
-    for a, b, c, d in ((x, x2, x3, 2.0), (x, x1, x3, -2.0), (x, x1, x2, 6.0)):
+    factors = ((x, x2, x3, 2.0), (x, x1, x3, -2.0), (x, x1, x2, 6.0))
+    for i, (a, b, c, d) in enumerate(factors, 1):
         np.multiply(a, b, out=w)
         w *= c
         w /= d
-        j += 1
-        w *= v.take(j)
+        w *= v[i:].take(j)
         out += w
     return out
 
@@ -80,7 +111,9 @@ class PiecewiseFn:
     """Closed forms on low blocks, marched grid 1 + k*grid_step above, optional tail.
 
     The grid takes over where the last exact piece ends (at 1 when there is
-    none), so it never interpolates inside an exact piece.
+    none), so it never interpolates inside an exact piece.  A grid marched
+    on demand has a fill: a read calls fill(k) with the last node k its
+    stencils touch, and fill marches the grid through node k.
     """
 
     name: str
@@ -89,6 +122,7 @@ class PiecewiseFn:
     grid_values: np.ndarray
     tail_fn: object  # vectorized fn above grid_end, or None
     err_budget: float  # None where no budget is declared
+    fill: object = None  # marches grid nodes through a given node, or None
 
     @property
     def grid(self):
@@ -103,14 +137,6 @@ class PiecewiseFn:
         scalar = us.ndim == 0
         us = np.atleast_1d(us)
         out = np.zeros(us.shape)
-        for lo, hi, fn in self.exact_pieces:
-            m = (us >= lo) & (us < hi)
-            if m.any():
-                out[m] = fn(us[m])
-        start = self.exact_pieces[-1][1] if self.exact_pieces else 1.0
-        m = (us >= start) & (us <= self.grid_end)
-        if m.any():
-            out[m] = _cubic_interp(self.grid_step, self.grid_values, us[m])
         m = us > self.grid_end
         if m.any():
             if self.tail_fn is None:
@@ -118,6 +144,14 @@ class PiecewiseFn:
                     f"{self.name} is tabulated only up to {self.grid_end}"
                 )
             out[m] = self.tail_fn(us[m])
+        for lo, hi, fn in self.exact_pieces:
+            m = (us >= lo) & (us < hi)
+            if m.any():
+                out[m] = fn(us[m])
+        start = self.exact_pieces[-1][1] if self.exact_pieces else 1.0
+        m = (us >= start) & (us <= self.grid_end)
+        if m.any():
+            out[m] = _cubic_interp(self.grid_step, self.grid_values, us[m], self.fill)
         return out[0] if scalar else out
 
     def __call__(self, u):
@@ -143,7 +177,7 @@ def _march_delay(c0, n_blocks):
     icum[: block + 1] = [c0 * math.log(x) for x in first]
     f[block + 1 : 2 * block + 1] = [(c0 + c0 * c0 * math.log(x - 1.0)) / x for x in second]
     # first node and weights of the stencil of the panel at each block offset
-    start = np.clip(np.arange(block) - 1, 0, block - 3)
+    start = np.arange(block) + _stencil_shift(block)
     w = np.array([_W_FWD] + [_W_INT] * (block - 2) + [_W_BWD]).T
     for lo in range(block, n_blocks * block, block):
         if lo >= 2 * block:
@@ -308,20 +342,27 @@ def _growth_panels(vs):
     return nodes, weights, offsets
 
 
-def build_growth_fn(ratio):
+def build_growth_fn(ratio, last=None, lam=None, first=1):
     """March f(v) = v - int_0^{(v-1)/2} f(u) ratio((v-u)/(u+1)) du/(u+1).
 
     f(v) reads f only on [0, (v-1)/2] and every interpolation stencil stays
     inside one unit block, so each v in (a, 2a+1] needs grid values up to
     the integer a only.  The march therefore fills (1, 3], (3, 7], (7, 15],
     ... one chunk at a time, quadraturing up to LAMBDA_BATCH_ROWS rows in
-    one pass; each row is summed alone, in the order _quad_sum uses.
+    one pass; each row is summed alone, in the order _quad_sum uses, so its
+    bits do not depend on the batch it falls in.
+
+    By default the whole grid of a fresh table is marched.  Otherwise the
+    march fills grid rows first..last of lam, a grid whose rows below first
+    an earlier call has marched, and returns a table over lam.
     """
     h = 2.0**-LAMBDA_STEP_BITS
     block = 1 << LAMBDA_STEP_BITS
     n = (LAMBDA_VMAX - 1) * block
-    lam = np.zeros(n + 1)
-    lam[0] = 1.0
+    if lam is None:
+        lam = np.zeros(n + 1)
+        lam[0] = 1.0
+    last = n if last is None else last
 
     def lam_eval(us):
         out = np.array(us, dtype=float)
@@ -330,10 +371,10 @@ def build_growth_fn(ratio):
             out[m] = _cubic_interp(h, lam, out[m])
         return out
 
-    a, k_lo = 1, 1
-    while k_lo <= n:
-        k_hi = min(2 * a * block, n)  # v = 2a + 1
-        for k0 in range(k_lo, k_hi + 1, LAMBDA_BATCH_ROWS):
+    a = 1
+    while first <= last:
+        k_hi = min(2 * a * block, last)  # v = 2a + 1
+        for k0 in range(first, k_hi + 1, LAMBDA_BATCH_ROWS):
             ks = np.arange(k0, min(k0 + LAMBDA_BATCH_ROWS, k_hi + 1))
             vs = 1.0 + ks * h
             nodes, weights, offsets = _growth_panels(vs)
@@ -341,7 +382,7 @@ def build_growth_fn(ratio):
             terms = lam_eval(nodes) * ratio.eval_many(arg) / (nodes + 1.0) * weights
             sums = [terms[i:j].sum() for i, j in zip(offsets[:-1], offsets[1:])]
             lam[ks] = vs - np.array(sums)
-        a, k_lo = 2 * a + 1, k_hi + 1
+        a, first = 2 * a + 1, max(first, k_hi + 1)
 
     return PiecewiseFn(
         name="growth_fn",
@@ -411,7 +452,22 @@ class FnBundle:
 
     @cached_property
     def growth(self):
-        return build_growth_fn(self.ratio)
+        """lambda, its grid marched through the last row a read has touched.
+
+        A later read that goes further resumes the march there; no row is
+        marched twice, and each row has the bits of a march of the whole grid.
+        """
+        fn = build_growth_fn(self.ratio, last=0)
+        marched = 0
+
+        def fill(last):
+            nonlocal marched
+            if last > marched:
+                build_growth_fn(self.ratio, last, fn.grid_values, marched + 1)
+                marched = last
+
+        fn.fill = fill
+        return fn
 
     def buchstab_defect_integral(self, u):
         """int_0^u (buchstab(s) - e^-gamma) ds; tends to e^-gamma - 1."""

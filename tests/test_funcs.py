@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import divmean
+from divmean import funcs, report
 from divmean.constants import ratio_prime
 from divmean.errors import RangeError
 from divmean.funcs import (
@@ -27,8 +28,10 @@ from divmean.funcs import (
     OMEGA_BLOCKS,
     OMEGA_STEP_BITS,
     XI_BLOCKS,
+    FnBundle,
     _cubic_interp,
     _merge_edges,
+    _stencil,
     build_growth_fn,
     get_bundle,
     ratio_via_convolution,
@@ -292,6 +295,23 @@ def test_cubic_interp_bit_identical_to_reference(name, bundle, rng):
     _assert_same_bits(got, _reference_cubic_interp(fn.grid_step, fn.grid_values, us))
 
 
+@pytest.mark.parametrize("name", ["buchstab", "ratio", "growth"])
+def test_stencil_start_matches_clip_formula(name, bundle):
+    # every node (grid_end included), both sides of every node, and midpoints
+    fn = getattr(bundle, name)
+    h, g = fn.grid_step, fn.grid
+    us = np.concatenate(
+        [g, np.nextafter(g[1:], 0.0), np.nextafter(g[:-1], np.inf), 0.5 * (g[1:] + g[:-1])]
+    )
+    _, j = _stencil(h, len(g), us)
+    # the index arithmetic _cubic_interp used before the per-block shift table
+    block = round(1.0 / h)
+    k = np.clip(np.floor((us - 1.0) / h).astype(np.int64), 0, len(g) - 2)
+    blk = k // block
+    want = np.clip(k - 1, blk * block, np.minimum((blk + 1) * block, len(g) - 1) - 3)
+    np.testing.assert_array_equal(j, want)
+
+
 def _stepwise_growth_grid(ratio):
     """Reference lambda march: one Python step per grid node.
 
@@ -387,6 +407,12 @@ class TestBatchedMarch:
         got = build_growth_fn(bundle.ratio).grid_values
         _assert_same_bits(got, _stepwise_growth_grid(bundle.ratio))
 
+    @pytest.mark.parametrize("rows", [1, 37])
+    def test_grid_bits_do_not_depend_on_the_batch(self, rows, bundle, monkeypatch):
+        want = build_growth_fn(bundle.ratio).grid_values
+        monkeypatch.setattr(funcs, "LAMBDA_BATCH_ROWS", rows)
+        _assert_same_bits(build_growth_fn(bundle.ratio).grid_values, want)
+
     @pytest.mark.parametrize(
         "c0,blocks,fn,cum",
         [
@@ -399,6 +425,44 @@ class TestBatchedMarch:
         vals, icum = _reference_march_delay(c0, blocks, OMEGA_STEP_BITS)
         _assert_same_bits(getattr(bundle, fn).grid_values, vals)
         _assert_same_bits(getattr(bundle, cum).grid_values, icum)
+
+
+class TestDemandMarch:
+    """The bundle's lambda grid is marched through the last row a read touches."""
+
+    def test_reads_march_each_row_once(self, monkeypatch):
+        marched, build = [], funcs.build_growth_fn
+
+        def spy(ratio, last=None, lam=None, first=1):
+            marched.append((first, last))
+            return build(ratio, last, lam, first)
+
+        monkeypatch.setattr(funcs, "build_growth_fn", spy)
+        b = FnBundle()
+        growth = b.growth
+        for v in (1.0, 10.0, 23.25, 24.0, 37.5, 50.0):
+            growth(v)
+        # the last row of each read's stencil: at 23.25 rows 2847-2850, at
+        # the integer 24.0 the next block's first four rows 2944-2947
+        assert marched == [
+            (1, 0),
+            (1, 3),
+            (4, 1155),
+            (1156, 2850),
+            (2851, 2947),
+            (2948, 4674),
+            (4675, 6272),
+        ]
+        _assert_same_bits(growth.grid_values, build(b.ratio).grid_values)
+
+    def test_read_past_the_grid_marches_nothing(self, monkeypatch):
+        b = FnBundle()
+        monkeypatch.setattr(report, "get_bundle", lambda: b)
+        with pytest.raises(RangeError):
+            b.growth(51.0)
+        with pytest.raises(RangeError):
+            report.tabulate_fn("lambda", 0, 60, 1)
+        assert b.growth.grid_values[0] == 1.0 and not b.growth.grid_values[1:].any()
 
 
 def _fresh_python(code):

@@ -7,6 +7,7 @@ re-exports.  A command runs only the module bodies it reads.
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -119,3 +120,16 @@ def test_commands_run_only_the_modules_they_read(argvs, ran, idle):
     assert ran <= set(done) and not idle & set(done), done
     if "funcs" in idle:  # only the quadrature tables of funcs and constants load it
         assert not polynomial
+
+
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_import_sets_openblas_threads_unless_the_caller_did(preset, want):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, divmean\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == want
