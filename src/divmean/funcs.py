@@ -11,8 +11,10 @@ All three are smooth inside unit blocks but kink at integer arguments, so
 every quadrature stencil and every interpolation stencil is clamped to one
 block: nothing ever straddles a kink.  Grid abscissas 1 + k*2^-m are exact
 binary floats, so block membership is never ambiguous.  get_bundle() builds
-each table on its first read and marches the growth grid only through the
-last node a read's interpolation stencil touches.
+each table on its first read.  The growth grid is marched row by row as
+reads reach it: a read marches the rows its interpolation stencils touch,
+and the dense prefix of rows that those rows' integrals read; rows a read
+does not reach stay NaN.
 """
 
 import math
@@ -80,14 +82,14 @@ def _cubic_interp(h, values, us, fill=None):
     """Block-clamped 4-point Lagrange interpolation on the grid 1 + k*h, unit blocks.
 
     u reads the nodes j..j+3 of _stencil; fill, when given, is called with
-    j.max() + 3, the last node read, before any node is read.
+    the stencil starts j before any node is read.
     Sum over i of y_{j+i} * l_i(x), l_0 = -(x-1)(x-2)(x-3)/6 and so on, each
     weight built in one buffer in that order of operations; a negated
     factor is the same float as a negated divisor.
     """
     t, j = _stencil(h, len(values), us)
     if fill is not None:
-        fill(int(j.max()) + 3)
+        fill(j)
     x = np.subtract(t, j, out=t)
     x1, x2, x3 = x - 1.0, x - 2.0, x - 3.0
     v = np.asarray(values)
@@ -112,8 +114,9 @@ class PiecewiseFn:
 
     The grid takes over where the last exact piece ends (at 1 when there is
     none), so it never interpolates inside an exact piece.  A grid marched
-    on demand has a fill: a read calls fill(k) with the last node k its
-    stencils touch, and fill marches the grid through node k.
+    on demand has a fill: a read calls fill(j) with the first node j of each
+    stencil it reads (nodes j..j+3), and fill marches those nodes and every
+    node they depend on.  NaN reads NaN; points below the first piece read 0.
     """
 
     name: str
@@ -122,7 +125,7 @@ class PiecewiseFn:
     grid_values: np.ndarray
     tail_fn: object  # vectorized fn above grid_end, or None
     err_budget: float  # None where no budget is declared
-    fill: object = None  # marches grid nodes through a given node, or None
+    fill: object = None  # marches the nodes of given stencil starts, or None
 
     @property
     def grid(self):
@@ -136,7 +139,7 @@ class PiecewiseFn:
         us = np.asarray(us, dtype=float)
         scalar = us.ndim == 0
         us = np.atleast_1d(us)
-        out = np.zeros(us.shape)
+        out = np.where(np.isnan(us), us, 0.0)
         m = us > self.grid_end
         if m.any():
             if self.tail_fn is None:
@@ -342,27 +345,30 @@ def _growth_panels(vs):
     return nodes, weights, offsets
 
 
-def build_growth_fn(ratio, last=None, lam=None, first=1):
+def build_growth_fn(ratio, rows=None, lam=None):
     """March f(v) = v - int_0^{(v-1)/2} f(u) ratio((v-u)/(u+1)) du/(u+1).
 
-    f(v) reads f only on [0, (v-1)/2] and every interpolation stencil stays
-    inside one unit block, so each v in (a, 2a+1] needs grid values up to
-    the integer a only.  The march therefore fills (1, 3], (3, 7], (7, 15],
-    ... one chunk at a time, quadraturing up to LAMBDA_BATCH_ROWS rows in
-    one pass; each row is summed alone, in the order _quad_sum uses, so its
-    bits do not depend on the batch it falls in.
+    f(v) reads f only on [0, (v-1)/2], and the quadrature splits at the
+    integers, so the interpolation stencil of every node stays inside the
+    node's unit block: each v in (a, 2a+1] reads grid rows up to the integer
+    a only.  The march therefore takes its rows in (1, 3], (3, 7], (7, 15],
+    ... one chunk at a time, quadraturing up to LAMBDA_BATCH_ROWS rows in one
+    pass; each row is summed alone, in the order _quad_sum uses, so its bits
+    depend neither on the batch it falls in nor on which other rows are
+    marched.
 
-    By default the whole grid of a fresh table is marched.  Otherwise the
-    march fills grid rows first..last of lam, a grid whose rows below first
-    an earlier call has marched, and returns a table over lam.
+    By default every row of a fresh table is marched.  Otherwise the
+    ascending grid rows `rows` are marched into lam, a grid that already
+    holds every row they read, and the table returned is over lam.  Rows
+    not yet marched hold NaN, so a read of one shows as NaN, not a number.
     """
     h = 2.0**-LAMBDA_STEP_BITS
     block = 1 << LAMBDA_STEP_BITS
     n = (LAMBDA_VMAX - 1) * block
     if lam is None:
-        lam = np.zeros(n + 1)
+        lam = np.full(n + 1, np.nan)
         lam[0] = 1.0
-    last = n if last is None else last
+    rows = np.arange(1, n + 1) if rows is None else np.asarray(rows, dtype=np.int64)
 
     def lam_eval(us):
         out = np.array(us, dtype=float)
@@ -371,18 +377,18 @@ def build_growth_fn(ratio, last=None, lam=None, first=1):
             out[m] = _cubic_interp(h, lam, out[m])
         return out
 
-    a = 1
-    while first <= last:
-        k_hi = min(2 * a * block, last)  # v = 2a + 1
-        for k0 in range(first, k_hi + 1, LAMBDA_BATCH_ROWS):
-            ks = np.arange(k0, min(k0 + LAMBDA_BATCH_ROWS, k_hi + 1))
+    a, start = 1, 0
+    while start < len(rows):
+        stop = int(np.searchsorted(rows, 2 * a * block, side="right"))  # v <= 2a + 1
+        for i in range(start, stop, LAMBDA_BATCH_ROWS):
+            ks = rows[i : min(i + LAMBDA_BATCH_ROWS, stop)]
             vs = 1.0 + ks * h
             nodes, weights, offsets = _growth_panels(vs)
             arg = (np.repeat(vs, np.diff(offsets)) - nodes) / (nodes + 1.0)
             terms = lam_eval(nodes) * ratio.eval_many(arg) / (nodes + 1.0) * weights
             sums = [terms[i:j].sum() for i, j in zip(offsets[:-1], offsets[1:])]
             lam[ks] = vs - np.array(sums)
-        a, first = 2 * a + 1, max(first, k_hi + 1)
+        a, start = 2 * a + 1, stop
 
     return PiecewiseFn(
         name="growth_fn",
@@ -452,19 +458,25 @@ class FnBundle:
 
     @cached_property
     def growth(self):
-        """lambda, its grid marched through the last row a read has touched.
+        """lambda, its grid marched row by row as reads reach it.
 
-        A later read that goes further resumes the march there; no row is
-        marched twice, and each row has the bits of a march of the whole grid.
+        A read marches the rows its stencils touch, and the prefix of rows
+        1..D, D the last stencil row of u = (v_top - 1)/2 and v_top the
+        read's highest row: every row that any of those rows reads.  Rows
+        already marched (no longer NaN) are skipped, so no row is marched
+        twice and each row has the bits of a march of the whole grid.
         """
-        fn = build_growth_fn(self.ratio, last=0)
-        marched = 0
+        fn = build_growth_fn(self.ratio, rows=())
+        lam, h = fn.grid_values, fn.grid_step
 
-        def fill(last):
-            nonlocal marched
-            if last > marched:
-                build_growth_fn(self.ratio, last, fn.grid_values, marched + 1)
-                marched = last
+        def fill(j):
+            _, (d,) = _stencil(h, len(lam), [(int(j.max()) + 3) * h / 2.0])
+            want = np.zeros(len(lam), bool)
+            want[: d + 4] = True
+            want[j[:, None] + np.arange(4)] = True
+            rows = np.flatnonzero(want & np.isnan(lam))
+            if rows.size:
+                build_growth_fn(self.ratio, rows, lam)
 
         fn.fill = fill
         return fn

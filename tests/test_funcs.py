@@ -277,9 +277,16 @@ def _reference_cubic_interp(h, values, us):
     return y0 * l0 + y1 * l1 + y2 * l2 + y3 * l3
 
 
+@pytest.fixture(scope="module")
+def full_growth(bundle):
+    """lambda from one march of the whole grid, independent of earlier reads."""
+    return build_growth_fn(bundle.ratio)
+
+
 @pytest.mark.parametrize("name", ["buchstab", "ratio", "growth"])
-def test_cubic_interp_bit_identical_to_reference(name, bundle, rng):
-    fn = getattr(bundle, name)
+def test_cubic_interp_bit_identical_to_reference(name, bundle, full_growth, rng):
+    # the bundle's lambda grid holds NaN in rows no read has reached
+    fn = full_growth if name == "growth" else getattr(bundle, name)
     g = fn.grid
     # random points, every node, block edges from both sides, and past both ends
     us = np.concatenate(
@@ -403,13 +410,12 @@ def _assert_same_bits(got, want):
 
 
 class TestBatchedMarch:
-    def test_bit_identical_to_stepwise_march(self, bundle):
-        got = build_growth_fn(bundle.ratio).grid_values
-        _assert_same_bits(got, _stepwise_growth_grid(bundle.ratio))
+    def test_bit_identical_to_stepwise_march(self, bundle, full_growth):
+        _assert_same_bits(full_growth.grid_values, _stepwise_growth_grid(bundle.ratio))
 
     @pytest.mark.parametrize("rows", [1, 37])
-    def test_grid_bits_do_not_depend_on_the_batch(self, rows, bundle, monkeypatch):
-        want = build_growth_fn(bundle.ratio).grid_values
+    def test_grid_bits_do_not_depend_on_the_batch(self, rows, bundle, full_growth, monkeypatch):
+        want = full_growth.grid_values
         monkeypatch.setattr(funcs, "LAMBDA_BATCH_ROWS", rows)
         _assert_same_bits(build_growth_fn(bundle.ratio).grid_values, want)
 
@@ -427,33 +433,87 @@ class TestBatchedMarch:
         _assert_same_bits(getattr(bundle, cum).grid_values, icum)
 
 
-class TestDemandMarch:
-    """The bundle's lambda grid is marched through the last row a read touches."""
+def _nodes(*ks):
+    """Grid rows k0..k1 of each inclusive pair (k0, k1), ascending."""
+    return np.concatenate([np.arange(k0, k1 + 1) for k0, k1 in ks])
 
-    def test_reads_march_each_row_once(self, monkeypatch):
+
+class TestDemandMarch:
+    """A read marches its stencil rows and the dense prefix those rows read."""
+
+    @staticmethod
+    def _spied_bundle(bundle, monkeypatch):
+        """A fresh bundle sharing the session's xi, and the rows of each march."""
         marched, build = [], funcs.build_growth_fn
 
-        def spy(ratio, last=None, lam=None, first=1):
-            marched.append((first, last))
-            return build(ratio, last, lam, first)
+        def spy(ratio, rows=None, lam=None):
+            marched.append(None if rows is None else np.array(rows))
+            return build(ratio, rows, lam)
 
         monkeypatch.setattr(funcs, "build_growth_fn", spy)
         b = FnBundle()
-        growth = b.growth
-        for v in (1.0, 10.0, 23.25, 24.0, 37.5, 50.0):
-            growth(v)
-        # the last row of each read's stencil: at 23.25 rows 2847-2850, at
-        # the integer 24.0 the next block's first four rows 2944-2947
-        assert marched == [
-            (1, 0),
-            (1, 3),
-            (4, 1155),
-            (1156, 2850),
-            (2851, 2947),
-            (2948, 4674),
-            (4675, 6272),
+        b.__dict__["_ratio_tables"] = bundle._ratio_tables
+        assert np.isnan(b.growth.grid_values[1:]).all()  # the empty table
+        assert len(marched) == 1 and marched.pop().size == 0
+        return b, marched
+
+    def test_reads_march_each_row_once(self, bundle, full_growth, monkeypatch):
+        b, marched = self._spied_bundle(bundle, monkeypatch)
+        # (read, rows it marches): 24.0 reads the next block's first rows
+        # 2944-2947 and (24.0234375 - 1)/2 reads up to row 1347; 50.0 reads
+        # 6269-6272, clamped to the last block, and (50 - 1)/2 up to row 3010
+        reads = [
+            (24.0, _nodes((1, 1347), (2944, 2947))),
+            (1.0, None),
+            (10.0, None),
+            (50.0, _nodes((1348, 2943), (2948, 3010), (6269, 6272))),
+            (23.25, None),
+            ([37.5, 24.0, 2.0], _nodes((4671, 4674))),
+            (50.0, None),
         ]
-        _assert_same_bits(growth.grid_values, build(b.ratio).grid_values)
+        for v, want in reads:
+            b.growth.eval_many(v)
+            if want is None:
+                assert not marched, v
+            else:
+                (got,) = marched
+                np.testing.assert_array_equal(got, want)
+                marched.clear()
+        lam = b.growth.grid_values
+        done = _nodes((1, 3010), (4671, 4674), (6269, 6272))
+        assert np.isnan(np.delete(lam, np.append(0, done))).all()
+        _assert_same_bits(lam[done], full_growth.grid_values[done])
+
+    @pytest.mark.parametrize(
+        "reads",
+        [
+            [50.0, 40.0, 30.0, 2.0, 1.0, 20.0, 10.0, 50.0],
+            [
+                np.nextafter(24.0, 0.0),
+                np.nextafter(24.0, 50.0),
+                np.nextafter(3.0, 0.0),
+                3.0,
+                np.nextafter(49.0, 50.0),
+                np.nextafter(50.0, 0.0),
+            ],
+            [1.0 + 4321 / 128, 1.0 + 129 / 128, [1.0 + 6000 / 128, 1.0 + 2222 / 128]],
+            [np.linspace(25.0, 50.0, 11), 12.3, np.arange(1.0, 12.0, 0.7), 12.3],
+        ],
+        ids=["integers", "block-edges", "grid-nodes", "vectors"],
+    )
+    def test_every_read_keeps_the_bits_of_a_full_march(
+        self, reads, bundle, full_growth, monkeypatch
+    ):
+        b, marched = self._spied_bundle(bundle, monkeypatch)
+        for v in reads:
+            _assert_same_bits(
+                np.atleast_1d(b.growth.eval_many(v)), np.atleast_1d(full_growth.eval_many(v))
+            )
+        rows = np.concatenate(marched)
+        assert np.unique(rows).size == rows.size  # no row marched twice
+        lam = b.growth.grid_values
+        assert np.isnan(np.delete(lam, np.append(0, rows))).all()
+        _assert_same_bits(lam[rows], full_growth.grid_values[rows])
 
     def test_read_past_the_grid_marches_nothing(self, monkeypatch):
         b = FnBundle()
@@ -462,7 +522,17 @@ class TestDemandMarch:
             b.growth(51.0)
         with pytest.raises(RangeError):
             report.tabulate_fn("lambda", 0, 60, 1)
-        assert b.growth.grid_values[0] == 1.0 and not b.growth.grid_values[1:].any()
+        assert b.growth.grid_values[0] == 1.0 and np.isnan(b.growth.grid_values[1:]).all()
+
+
+@pytest.mark.parametrize("name", ["buchstab", "ratio", "growth", "buchstab_cum", "ratio_cum"])
+def test_nan_reads_nan(name, bundle):
+    """NaN is not a point below the domain: it reads NaN, scalar and vector."""
+    fn = getattr(bundle, name)
+    assert math.isnan(fn(math.nan))
+    got = fn.eval_many([math.nan, -1.0, 2.5, math.nan])
+    assert np.isnan(got[[0, 3]]).all()
+    assert got[1] == 0.0 and got[2] == fn(2.5) and not math.isnan(got[2])
 
 
 def _fresh_python(code):
