@@ -2,9 +2,10 @@
 the delay-equation special functions behind their mean values, and the
 analytic constants that govern the growth rates.
 
-The submodules theta, funcs, constants and report are registered lazily: each
-one's body runs on the first read of one of its attributes, so a command runs
-only the modules it calls into.  The sieve re-exports below stay eager.
+The submodules sieve, theta, funcs, constants and report are registered
+lazily: each one's body runs on the first read of one of its attributes, so
+a command runs only the modules it calls into, and `import divmean` loads no
+numpy.  Import names from their submodule: `from divmean.sieve import tau`.
 """
 
 import importlib.util
@@ -12,7 +13,8 @@ import os
 import sys
 
 # No divmean sum goes through BLAS, yet an OpenBLAS worker thread spins idle
-# after each numpy import; set before .sieve loads numpy, unless already set.
+# after each numpy import; set before any submodule loads numpy, unless
+# already set.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (
@@ -23,15 +25,6 @@ from .errors import (
     RangeError,
     ResourceError,
     SolverError,
-)
-from .sieve import (
-    PrimeList,
-    SpfTable,
-    build_prime_list,
-    build_spf_table,
-    divisors_sorted,
-    sigma,
-    tau,
 )
 
 __version__ = "0.1.0"
@@ -47,5 +40,5 @@ def _lazy(name):
     spec.loader.exec_module(module)
 
 
-for _name in ("theta", "funcs", "constants", "report"):
+for _name in ("sieve", "theta", "funcs", "constants", "report"):
     _lazy(_name)

@@ -29,10 +29,9 @@ from .funcs import (
     EULER_GAMMA,
     EXP_NEG_2GAMMA,
     EXP_NEG_GAMMA,
-    _merge_edges,
-    _panel_nodes,
     _quad_sum,
     get_bundle,
+    panel_rows,
 )
 
 DELTA_BRACKET = (0.713611, 0.713614)
@@ -68,8 +67,7 @@ class GEvaluator:
         self.truncation_V = v_hi
         w_hi = math.log(v_hi + 1.0)
         breaks = [math.log(k + 1.0) for k in range(0, int(v_hi) + 1)]
-        edges = _merge_edges(breaks, 0.0, w_hi)
-        wn, wts = _panel_nodes(edges, _GL16, max_width=panel_width)
+        wn, wts, _ = panel_rows(0.0, w_hi, breaks, _GL16, panel_width)
         v = np.expm1(wn)
         gap = self._xi.eval_many(v) - (v + 2.0) * EXP_NEG_2GAMMA
         self._wn = wn
@@ -286,7 +284,7 @@ def _u_panels(lo):
     edges = [lo]
     while edges[-1] < _U_END:
         edges.append(min(edges[-1] * 1.5, _U_END))
-    return _panel_nodes(edges, _GL16, max_width=np.inf)
+    return panel_rows(lo, _U_END, edges[1:-1], _GL16, np.inf)[:2]
 
 
 @cache
@@ -297,9 +295,9 @@ def _q_panels():
     while edges_low[-1] < 0.5:
         edges_low.append(edges_low[-1] * 2.0)
     # below 1/2, F(u) - b0/u^2 - b1/u with the u^-2 blowup cancelled in series
-    u, w = _panel_nodes(edges_low, _GL16, max_width=1.0)
+    u, w, _ = panel_rows(_Q_EPS, edges_low[-1], edges_low[1:-1], _GL16, 1.0)
     low = (u, w, B0 * (np.expm1(_phi(u)) - 2.0 * u) / u**2 - 1.0)
-    u, w = _panel_nodes([edges_low[-1], 0.75, 1.0], _GL16, max_width=1.0)
+    u, w, _ = panel_rows(edges_low[-1], 1.0, [0.75], _GL16, 1.0)
     mid = (u, w, np.expm1(2.0 * exp_integral_J(u)) - B0 / u**2 - B1 / u)
     u, w = _u_panels(1.0)
     panels = low, mid, (u, w, np.expm1(2.0 * exp_integral_J(u)))
@@ -493,8 +491,8 @@ def lambda0_via_I(delta=None):
         delta = root_certificate("delta").location.real
     xi = get_bundle().ratio
     v_hi = xi.grid_end
-    edges = _merge_edges(list(range(0, int(v_hi) + 1)), 0.0, v_hi)
-    nodes, wts = _panel_nodes(edges, np.polynomial.legendre.leggauss(20), max_width=0.5)
+    gl = np.polynomial.legendre.leggauss(20)
+    nodes, wts, _ = panel_rows(0.0, v_hi, np.arange(int(v_hi) + 1.0), gl, 0.5)
     gap = xi.eval_many(nodes) - (nodes + 2.0) * EXP_NEG_2GAMMA
     val = float(
         _quad_sum(wts, gap * np.log(nodes + 1.0) * (nodes + 1.0) ** (-1.0 - delta))
@@ -519,12 +517,10 @@ def H_bound(sigma):
     h = xi.grid_step
     u = xi.grid
     d = ratio_prime(u) - EXP_NEG_2GAMMA
-    flips = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
-    crossings = [
-        float(u[i] + h * d[i] / (d[i] - d[i + 1])) for i in flips
-    ]
-    edges = _merge_edges(list(range(1, int(xi.grid_end) + 1)) + crossings, 1.0, xi.grid_end)
-    nodes, wts = _panel_nodes(edges, _GL16, max_width=0.25)
+    i = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
+    crossings = u[i] + h * d[i] / (d[i] - d[i + 1])
+    breaks = np.concatenate([np.arange(1.0, int(xi.grid_end) + 1.0), crossings])
+    nodes, wts, _ = panel_rows(1.0, xi.grid_end, breaks, _GL16, 0.25)
     vals = np.abs(ratio_prime(nodes) - EXP_NEG_2GAMMA)
     total = float(_quad_sum(wts, vals * (nodes + 1.0) ** (-sigma)))
     return 2.0 ** (1.0 - sigma) + _tail_envelope(xi.grid_end, -sigma, total)
@@ -549,8 +545,7 @@ def buchstab_transform_check(s):
     body = float(_quad_sum(wts, nodes ** (s - 1.0) * np.expm1(exp_integral_J(nodes))))
     lhs = s * (head + body)
     w_end = b.buchstab.grid_end
-    edges_v = _merge_edges(list(range(1, int(w_end) + 1)), 1.0, w_end)
-    nv, wv = _panel_nodes(edges_v, _GL16, max_width=0.5)
+    nv, wv, _ = panel_rows(1.0, w_end, np.arange(1.0, int(w_end) + 1.0), _GL16, 0.5)
     tail = EXP_NEG_GAMMA * (1.0 + w_end) ** (1.0 - s) / (s - 1.0)
     omega_hat = float(_quad_sum(wv, b.buchstab.eval_many(nv) * (1.0 + nv) ** -s)) + tail
     rhs = math.gamma(s) * (1.0 + omega_hat)

@@ -14,7 +14,11 @@ binary floats, so block membership is never ambiguous.  get_bundle() builds
 each table on its first read.  The growth grid is marched row by row as
 reads reach it: a read marches the rows its interpolation stencils touch,
 and the dense prefix of rows that those rows' integrals read; rows a read
-does not reach stay NaN.
+does not reach stay NaN.  The march reads lambda through its own table.
+
+Every Gauss quadrature of the package, here and in constants, builds its
+panels with panel_rows: one rule splits an interval at its kinks, many rows
+at once for the lambda march, one row everywhere else.
 """
 
 import math
@@ -272,13 +276,6 @@ def _gauss_panels(a, b, gl, max_width):
     return nodes, weights, counts
 
 
-def _panel_nodes(edges, gl, max_width=0.5):
-    """Gauss nodes and weights over [edges[0], edges[-1]] split at edges."""
-    edges = np.asarray(edges, dtype=float)
-    nodes, weights, _ = _gauss_panels(edges[:-1], edges[1:], gl, max_width)
-    return nodes, weights
-
-
 def _quad_sum(weights, values):
     """Quadrature sum over the last axis, always in one fixed order.
 
@@ -293,55 +290,39 @@ def _quad_sum(weights, values):
     return (values * weights).sum(axis=-1)
 
 
-def _merge_edges(points, lo, hi):
-    eps = _EDGE_EPS
-    pts = sorted(p for p in points if lo + eps < p < hi - eps)
-    edges = [lo]
-    for p in pts:
-        if p - edges[-1] > eps:
-            edges.append(p)
-    if hi - edges[-1] > eps:
-        edges.append(hi)
-    else:
-        edges[-1] = hi
-    return edges
+def panel_rows(lo, his, breaks, gl, max_width):
+    """Gauss nodes and weights over [lo, hi] for each hi of his, split at breaks.
 
-
-def _growth_panels(vs):
-    """Gauss panels of the lambda integrals at the abscissas vs.
-
-    Row i covers [0, (v_i-1)/2], split at the integers and at the kinks
-    u_j = (v_i-j)/(j+1) of the ratio argument, exactly as _merge_edges and
-    _panel_nodes split it.  On the lambda grid distinct breakpoints lie far
-    more than eps apart, so dropping a point close to its sorted
-    predecessor is the same as dropping one close to the last kept point.
-    Returns the nodes, the weights, and the node offsets of the rows.
+    breaks holds one row of breakpoints per hi, NaN-padded; a scalar hi and
+    a flat list of breaks make one row.  A breakpoint is dropped when it
+    lies within _EDGE_EPS of an end of its interval or of its sorted
+    predecessor.  No caller has breakpoints that chain within eps, so this
+    drops the same points as a comparison with the last kept edge (the tests
+    check every caller against that scalar rule).  Each interval between
+    kept edges is cut into equal panels no wider than max_width.  Returns
+    the nodes, the weights, and the node offsets of the rows.
     """
     eps = _EDGE_EPS
-    ub = (vs - 1.0) / 2.0
-    ints = np.arange(1.0, int(ub.max()) + 1.0)
-    js = np.arange(2.0, int(vs.max()) + 1.0)
-    pts = np.concatenate(
-        [np.broadcast_to(ints, (len(vs), len(ints))), (vs[:, None] - js) / (js + 1.0)],
-        axis=1,
-    )
-    pts = np.where((pts > eps) & (pts < ub[:, None] - eps), pts, np.nan)
+    his = np.atleast_1d(np.asarray(his, dtype=float))
+    rows = len(his)
+    pts = np.atleast_2d(np.asarray(breaks, dtype=float))
+    pts = np.where((pts > lo + eps) & (pts < his[:, None] - eps), pts, np.nan)
     pts.sort(axis=1)  # NaN padding sorts last and is never kept
-    prev = np.concatenate([np.zeros((len(vs), 1)), pts[:, :-1]], axis=1)
-    keep = pts - prev > eps
+    los = np.full((rows, 1), float(lo))
+    keep = pts - np.concatenate([los, pts[:, :-1]], axis=1) > eps
     inner = keep.sum(axis=1)
-    ends = np.ones((len(vs), 1), bool)
-    edges = np.concatenate([np.zeros((len(vs), 1)), pts, ub[:, None]], axis=1)
+    ends = np.ones((rows, 1), bool)
+    edges = np.concatenate([los, pts, his[:, None]], axis=1)
     edges = edges[np.concatenate([ends, keep, ends], axis=1)]
     # consecutive edges pair up into panels, except across a row boundary
     row_end = np.cumsum(inner + 2) - 1
     same_row = np.ones(len(edges) - 1, bool)
     same_row[row_end[:-1]] = False
     nodes, weights, parts = _gauss_panels(
-        edges[:-1][same_row], edges[1:][same_row], _GL12, 0.5
+        edges[:-1][same_row], edges[1:][same_row], gl, max_width
     )
     sub_end = np.cumsum(parts)[np.cumsum(inner + 1) - 1]
-    offsets = np.concatenate([[0], sub_end * len(_GL12[0])])
+    offsets = np.concatenate([[0], sub_end * len(gl[0])])
     return nodes, weights, offsets
 
 
@@ -369,28 +350,7 @@ def build_growth_fn(ratio, rows=None, lam=None):
         lam = np.full(n + 1, np.nan)
         lam[0] = 1.0
     rows = np.arange(1, n + 1) if rows is None else np.asarray(rows, dtype=np.int64)
-
-    def lam_eval(us):
-        out = np.array(us, dtype=float)
-        m = out >= 1.0
-        if m.any():
-            out[m] = _cubic_interp(h, lam, out[m])
-        return out
-
-    a, start = 1, 0
-    while start < len(rows):
-        stop = int(np.searchsorted(rows, 2 * a * block, side="right"))  # v <= 2a + 1
-        for i in range(start, stop, LAMBDA_BATCH_ROWS):
-            ks = rows[i : min(i + LAMBDA_BATCH_ROWS, stop)]
-            vs = 1.0 + ks * h
-            nodes, weights, offsets = _growth_panels(vs)
-            arg = (np.repeat(vs, np.diff(offsets)) - nodes) / (nodes + 1.0)
-            terms = lam_eval(nodes) * ratio.eval_many(arg) / (nodes + 1.0) * weights
-            sums = [terms[i:j].sum() for i, j in zip(offsets[:-1], offsets[1:])]
-            lam[ks] = vs - np.array(sums)
-        a, start = 2 * a + 1, stop
-
-    return PiecewiseFn(
+    fn = PiecewiseFn(
         name="growth_fn",
         exact_pieces=[(0.0, 1.0, lambda x: x.copy())],
         grid_step=h,
@@ -398,6 +358,27 @@ def build_growth_fn(ratio, rows=None, lam=None):
         tail_fn=None,
         err_budget=1e-7,
     )
+
+    a, start = 1, 0
+    while start < len(rows):
+        stop = int(np.searchsorted(rows, 2 * a * block, side="right"))  # v <= 2a + 1
+        for i in range(start, stop, LAMBDA_BATCH_ROWS):
+            ks = rows[i : min(i + LAMBDA_BATCH_ROWS, stop)]
+            vs = 1.0 + ks * h
+            # the row of v covers [0, (v-1)/2], split at the integers and at
+            # the kinks (v-j)/(j+1) of the ratio argument
+            ub = (vs - 1.0) / 2.0
+            ints = np.arange(1.0, int(ub.max()) + 1.0)
+            js = np.arange(2.0, int(vs.max()) + 1.0)
+            kinks = (vs[:, None] - js) / (js + 1.0)
+            brks = np.concatenate([np.broadcast_to(ints, (len(vs), len(ints))), kinks], axis=1)
+            nodes, weights, offsets = panel_rows(0.0, ub, brks, _GL12, 0.5)
+            arg = (np.repeat(vs, np.diff(offsets)) - nodes) / (nodes + 1.0)
+            terms = fn.eval_many(nodes) * ratio.eval_many(arg) / (nodes + 1.0) * weights
+            sums = [terms[i:j].sum() for i, j in zip(offsets[:-1], offsets[1:])]
+            lam[ks] = vs - np.array(sums)
+        a, start = 2 * a + 1, stop
+    return fn
 
 
 def ratio_via_convolution(u, buchstab):
@@ -412,17 +393,8 @@ def ratio_via_convolution(u, buchstab):
     two_w = 2.0 * buchstab(u)
     if u <= 2.0:
         return two_w
-    brks = []
-    m = 2
-    while m < u - 1.0:
-        brks.append(float(m))  # kink of w(t)
-        m += 1
-    m = 2
-    while u - m > 1.0:
-        brks.append(u - m)  # kink of w(u-t)
-        m += 1
-    edges = _merge_edges(brks, 1.0, u - 1.0)
-    nodes, weights = _panel_nodes(edges, _GL20)
+    ms = np.arange(2.0, int(u) + 1.0)  # kinks of w(t) and of w(u-t)
+    nodes, weights, _ = panel_rows(1.0, u - 1.0, np.concatenate([ms, u - ms]), _GL20, 0.5)
     conv = float(
         _quad_sum(weights, buchstab.eval_many(nodes) * buchstab.eval_many(u - nodes))
     )

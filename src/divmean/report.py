@@ -292,6 +292,8 @@ def emit_figure_data(which, lo=None, hi=None, step=None):
         raise RangeError(f"unknown figure {which!r}")
     grid = zip((lo, hi, step), FIGURE_GRIDS[which])
     xs = _grid(*(d if v is None else float(v) for v, d in grid))
+    if which == "fig2" and xs[0] <= -1.0:  # (v+1)^delta and 1/(v+1) need v > -1
+        raise RangeError(f"fig2 grid must start above -1, got {fmt15(xs[0])}")
     b = get_bundle()
     if which == "fig1":
         xi = b.ratio.eval_many(xs)

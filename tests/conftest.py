@@ -24,21 +24,21 @@ settings.load_profile("ci")
 
 @pytest.fixture(scope="session")
 def spf_1e5():
-    from divmean import build_spf_table
+    from divmean.sieve import build_spf_table
 
     return build_spf_table(10**5)
 
 
 @pytest.fixture(scope="session")
 def spf_1e6():
-    from divmean import build_spf_table
+    from divmean.sieve import build_spf_table
 
     return build_spf_table(10**6)
 
 
 @pytest.fixture(scope="session")
 def primes_1e5():
-    from divmean import build_prime_list
+    from divmean.sieve import build_prime_list
 
     return build_prime_list(10**5)
 
@@ -62,7 +62,7 @@ def full_list_sums():
     The reference for sieve.prime_sums: the bulk path of the prime list
     before it was segmented, which kept all the primes and the whole prefix.
     """
-    from divmean import build_prime_list
+    from divmean.sieve import build_prime_list
 
     def sums(ys, f):
         ys = np.asarray(ys)

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -366,6 +367,20 @@ class TestFigures:
         constants.root_certificate.cache_clear()
         assert run(argv, capsys)[0] == 0
         assert seeds == [constants._ROOT_SEEDS["delta"]]
+
+    @pytest.mark.parametrize("lo,code", [("-3", 2), ("-1", 2), ("-0.75", 0)])
+    def test_fig2_grid_must_start_above_minus_one(self, lo, code, capsys):
+        # (v+1)^delta and 1/(v+1) are undefined at and below v = -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run(
+                ["figures", "fig2", "--from", lo, "--to", "0", "--step", "0.25"], capsys
+            )
+        assert got == code
+        if code:
+            assert out == "" and err == "error: fig2 grid must start above -1, got " + lo + "\n"
+        else:
+            assert "nan" not in out and "inf" not in out and err == ""
 
     def test_fig1_default_shape(self, capsys):
         code, out, _ = run(["figures", "fig1"], capsys)

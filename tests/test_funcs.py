@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import divmean
-from divmean import funcs, report
+from divmean import constants, funcs, report
 from divmean.constants import ratio_prime
 from divmean.errors import RangeError
 from divmean.funcs import (
@@ -21,6 +21,7 @@ from divmean.funcs import (
     _W_BWD,
     _W_FWD,
     _W_INT,
+    _EDGE_EPS,
     EXP_NEG_2GAMMA,
     EXP_NEG_GAMMA,
     LAMBDA_STEP_BITS,
@@ -30,10 +31,11 @@ from divmean.funcs import (
     XI_BLOCKS,
     FnBundle,
     _cubic_interp,
-    _merge_edges,
+    _gauss_panels,
     _stencil,
     build_growth_fn,
     get_bundle,
+    panel_rows,
     ratio_via_convolution,
 )
 
@@ -319,6 +321,25 @@ def test_stencil_start_matches_clip_formula(name, bundle):
     np.testing.assert_array_equal(j, want)
 
 
+def _merge_edges(points, lo, hi):
+    """The scalar edge rule that panel_rows replaced, kept as its reference.
+
+    A point is dropped when it lies within _EDGE_EPS of an end or of the
+    last edge kept before it.
+    """
+    eps = _EDGE_EPS
+    pts = sorted(p for p in points if lo + eps < p < hi - eps)
+    edges = [lo]
+    for p in pts:
+        if p - edges[-1] > eps:
+            edges.append(p)
+    if hi - edges[-1] > eps:
+        edges.append(hi)
+    else:
+        edges[-1] = hi
+    return edges
+
+
 def _stepwise_growth_grid(ratio):
     """Reference lambda march: one Python step per grid node.
 
@@ -407,6 +428,72 @@ def _assert_same_bits(got, want):
     assert got.shape == want.shape
     differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
     assert differ.size == 0, f"{differ.size} nodes differ, first at {differ[:5]}"
+
+
+class TestPanelRule:
+    """Every single-interval site gets the bits of the scalar edge rule.
+
+    panel_rows drops a breakpoint near its sorted predecessor, the scalar
+    rule one near the last kept edge; the two differ only where breakpoints
+    chain within eps, so these check that no site has such a chain.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append((args, panel_rows(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(constants, "panel_rows", spy)
+        monkeypatch.setattr(funcs, "panel_rows", spy)
+        return calls
+
+    @staticmethod
+    def _assert_scalar_rule(calls, n_calls):
+        assert len(calls) == n_calls
+        for (lo, his, breaks, gl, max_width), (nodes, weights, offsets) in calls:
+            rows = np.atleast_2d(np.asarray(breaks, dtype=float))
+            for i, hi in enumerate(np.atleast_1d(his)):
+                pts = rows[i][~np.isnan(rows[i])].tolist()
+                e = np.array(_merge_edges(pts, lo, float(hi)))
+                want_nodes, want_weights, _ = _gauss_panels(e[:-1], e[1:], gl, max_width)
+                part = slice(offsets[i], offsets[i + 1])
+                _assert_same_bits(nodes[part], want_nodes)
+                _assert_same_bits(weights[part], want_weights)
+
+    # the default width, and the one count_zeros_rect uses on the wide rectangle
+    @pytest.mark.parametrize("width", [0.25, constants._width_for_rect(-3 - 62j, 3 + 62j)])
+    @pytest.mark.parametrize("V", [5.0, 6.0, 7.0, 8.0, None])
+    def test_g_evaluator(self, V, width, calls):
+        constants.GEvaluator(V=V, panel_width=width)
+        self._assert_scalar_rule(calls, 1)
+
+    def test_lambda0_via_integral(self, calls):
+        constants.lambda0_via_I(0.7136125)
+        self._assert_scalar_rule(calls, 1)
+
+    @pytest.mark.parametrize("sigma", [-3.0, 0.0, 1.0])
+    def test_h_bound_with_its_crossings(self, sigma, calls):
+        constants.H_bound(sigma)
+        self._assert_scalar_rule(calls, 1)
+        breaks = np.asarray(calls[0][0][2])
+        assert (breaks != np.round(breaks)).any()  # the crossings of ratio' and e^-2gamma
+
+    @pytest.mark.parametrize("s", [2.0, 3.0])
+    def test_transform_check(self, s, calls):
+        constants.buchstab_transform_check(s)
+        self._assert_scalar_rule(calls, 2)
+
+    def test_q_panels(self, calls):
+        constants._q_panels.__wrapped__()
+        self._assert_scalar_rule(calls, 3)
+
+    @pytest.mark.parametrize("u", [2.5, 5.0, 7.25, 12.0])
+    def test_convolution_route(self, u, calls, bundle):
+        ratio_via_convolution(u, bundle.buchstab)
+        self._assert_scalar_rule(calls, 1)
 
 
 class TestBatchedMarch:

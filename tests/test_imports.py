@@ -81,24 +81,25 @@ def test_no_unread_private_names():
     assert _unread_private_names(sources) == []
 
 
-LAZY = ("theta", "funcs", "constants", "report")
+LAZY = ("sieve", "theta", "funcs", "constants", "report")
 
 # (commands run in one fresh interpreter, modules whose bodies must have run,
 # modules whose bodies must not have)
 _COMMAND_MODULES = [
     ([], set(), set(LAZY)),
+    ([["--help"]], set(), set(LAZY)),
     (
         [["stats", "practical", "--x", "1000"], ["enumerate", "practical", "--x", "1000"]],
-        {"theta"},
+        {"sieve", "theta"},
         {"funcs", "constants", "report"},
     ),
-    ([["constants", "--v", "5"]], {"constants", "funcs"}, {"report", "theta"}),
+    ([["constants", "--v", "5"]], {"constants", "funcs"}, {"report", "sieve", "theta"}),
     ([["fn", "xi", "--to", "3"]], {"report"}, set()),
 ]
 
 
 @pytest.mark.parametrize(
-    "argvs,ran,idle", _COMMAND_MODULES, ids=["import", "chain", "constants", "fn"]
+    "argvs,ran,idle", _COMMAND_MODULES, ids=["import", "help", "chain", "constants", "fn"]
 )
 def test_commands_run_only_the_modules_they_read(argvs, ran, idle):
     # a lazy module that has run is a plain module again
@@ -110,16 +111,18 @@ def test_commands_run_only_the_modules_they_read(argvs, ran, idle):
         "        assert main(argv) == 0\n"
         f"print(json.dumps([[m for m in {LAZY!r}\n"
         "    if type(sys.modules['divmean.' + m]) is not importlib.util._LazyModule],\n"
-        "    'numpy.polynomial' in sys.modules]))"
+        "    'numpy.polynomial' in sys.modules, 'numpy' in sys.modules]))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    done, polynomial = json.loads(proc.stdout)
+    done, polynomial, numpy = json.loads(proc.stdout)
     assert ran <= set(done) and not idle & set(done), done
     if "funcs" in idle:  # only the quadrature tables of funcs and constants load it
         assert not polynomial
+    if idle == set(LAZY):  # no module body ran, so nothing loaded numpy
+        assert not numpy
 
 
 @pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")], ids=["unset", "preset"])

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from divmean import (
-    RangeError,
-    ResourceError,
+from divmean import RangeError, ResourceError, sieve
+from divmean.sieve import (
+    DEFAULT_SPF_BUDGET,
+    PRIME_WALK_LIMIT,
     build_prime_list,
     build_spf_table,
     divisors_sorted,
+    odd_sieve,
+    prime_sums,
     sigma,
     tau,
 )
-from divmean import sieve
-from divmean.sieve import DEFAULT_SPF_BUDGET, PRIME_WALK_LIMIT, odd_sieve, prime_sums
 from divmean.theta import ThetaRule, b_rows
 
 E_GAMMA = math.exp(-np.euler_gamma)
@@ -145,7 +146,7 @@ _TABLE = None
 def _shared_table():
     global _TABLE
     if _TABLE is None:
-        from divmean import build_spf_table as b
+        from divmean.sieve import build_spf_table as b
 
         _TABLE = b(10**5)
     return _TABLE

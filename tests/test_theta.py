@@ -1,5 +1,6 @@
 """Chain-set membership, enumeration, exact statistics, and the counting identity."""
 
+import importlib
 import io
 import math
 import re
@@ -41,6 +42,7 @@ from divmean.theta import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 B_PRACTICAL_30 = [1, 2, 4, 6, 8, 12, 16, 18, 20, 24, 28, 30]
 B_DENSE2_20 = [1, 2, 4, 6, 8, 12, 16, 18, 20]
@@ -672,6 +674,28 @@ class TestBlockWalk:
         want = {10**8: (7_266_286, 565_147_032), 10**9: (64_782_731, 6_150_906_187)}[x]
         st_ = practical_stats(x)
         assert (st_.count, st_.tau_sum) == want
+
+    @pytest.mark.parametrize("name", ["practical", "2", "5/2", "100"])
+    def test_factorisation_oracle_above_1e6(self, name, factorisation_chain):
+        rules, (members, tau_) = factorisation_chain
+        t = rules[name]
+        rule = ThetaRule.practical() if t is None else ThetaRule.dense(t)
+        cuts = [10**6, 3 * 10**6, 10**7]
+        want = []
+        for x in cuts:
+            m = members[name][: x + 1]
+            want.append((int(m.sum()), int(tau_[: x + 1][m].sum())))
+        assert [(st_.count, st_.tau_sum) for st_ in chain_stats_multi(rule, cuts)] == want
+
+
+@pytest.fixture(scope="module")
+def factorisation_chain():
+    """perfbench's membership test by factorisation, shared with none of divmean:
+    (its rules, (member mask per rule, tau)) for n <= 1e7, built once (about 11 s)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))  # make_reference imports its siblings
+        make_reference = importlib.import_module("make_reference")
+    return make_reference.CHAIN_RULES, make_reference.chain_tables(10**7)
 
 
 class TestIsqrt:
