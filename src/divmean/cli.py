@@ -156,7 +156,7 @@ def _cmd_verify(args):
         return _verdict("\n".join(lines) + "\n", ok, args)
     if args.kind == "L":
         rule = _theta_rule(args.theta, args.t)
-        ns = sorted({max(2, args.n // 100), max(2, args.n // 10), args.n})
+        ns = sorted({min(args.n, max(2, args.n // k)) for k in (100, 10, 1)})
         vals = report.L_partial_multi(rule, ns)
         lines = ["N,L_partial"] + [f"{n},{fmt15(v)}" for n, v in zip(ns, vals)]
         ok = all(b >= a for a, b in zip(vals, vals[1:])) and all(

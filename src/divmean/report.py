@@ -9,6 +9,7 @@ later is a data change, not a code change.
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,8 +19,9 @@ from ._util import fmt15, fsum
 from .constants import lambda1_closed_form, root_certificate
 from .errors import ConfigError, RangeError
 from .funcs import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, get_bundle
-from .sieve import build_prime_list, prime_sums
-from .theta import ThetaRule, b_rows, chain_stats_multi, dense_stats, rough_stats
+from . import sieve
+from .sieve import build_prime_list
+from .theta import ThetaRule, chain_stats_multi, dense_stats, rough_stats, row_windows
 
 DEFAULT_SLACK = 5.0
 GRID_POINT_LIMIT = 10**6  # rows of one tabulated function or figure
@@ -179,25 +181,62 @@ def fit_nu_practical(xs):
     return [(s.x, s.tau_sum / (s.x * math.log(s.x) ** d)) for s in stats]
 
 
+def _series(rule, x, payload, tag, terms, finish):
+    """Terms and tags of B(x)'s rows.  Walk 1 counts the rows in each prime block
+    (by theta floor); walk 2 stores each row's offset in its block, payload(n, tau)
+    and tag[0](n, floor).  Per block of the prime walk over terms, the rows read the
+    sums at their floors in offset order, and finish(payloads, *sums) gives the terms."""
+    span, top, per = 2 * sieve._BLOCK, 0, Counter()
+    for _, _, tf in row_windows(rule, x):  # walk 1
+        top = max(top, int(tf.max()))
+        per.update(dict(zip(*np.unique(tf // span, return_counts=True))))
+    if top >> 63:
+        raise RangeError(f"theta floor {top} beyond int64")
+    blocks = sieve.prime_walk(top, *terms)
+    counts = np.array([per[b] for b in range(top // span + 1)])
+    ends = np.cumsum(counts)
+    off, vals = np.empty(ends[-1], dtype=np.uint32), np.empty(ends[-1])
+    tags, cursor = np.empty(ends[-1], dtype=tag[1]), ends - counts
+    for n, tu, tf in row_windows(rule, x):  # walk 2
+        order = np.argsort(tf // span)
+        n, tu, tf = n[order], tu[order], tf[order]
+        bk = tf // span
+        pos = (cursor - np.searchsorted(bk, np.arange(len(cursor))))[bk] + np.arange(len(bk))
+        cursor += np.bincount(bk, minlength=len(cursor))
+        off[pos], vals[pos], tags[pos] = tf - bk * span, payload(n, tu), tag[0](n, tf)
+    for lo, ps, cums in blocks:  # not zipped: zip would hold each block while the next is made
+        a, b = ends[lo // span] - counts[lo // span], ends[lo // span]
+        key = np.sort(off[a:b].astype(np.uint64) << 32 | np.arange(b - a, dtype=np.uint64))
+        idx = np.empty(b - a, dtype=np.intp)  # looked up in offset order, kept in row order
+        idx[key & 0xFFFFFFFF] = np.searchsorted(ps, (key >> 32).astype(np.int64) + lo, "right")
+        vals[a:b] = finish(vals[a:b], *(cum[idx].astype(np.float64) for cum in cums))
+        del ps, cums  # before the walk makes the next block
+    return vals, tags
+
+
 def L_partial_multi(rule, cutoffs):
     """Partial sums of the tau-weighted squared-Mertens series, one per cutoff.
 
-    One walk and one prime walk to the largest theta serve every cutoff:
-    B(N) is the prefix of its rows with n <= N, each term depends on n alone,
-    and fsum is correctly rounded, so each value has the bits of its own walk.
-    The one exception is a custom rule with an infinite theta, whose Mertens
-    product is then taken up to the largest cutoff rather than to N.
+    One series over B at the largest cutoff serves every cutoff: each term
+    depends on n alone and fsum is correctly rounded, so each value has the
+    bits of its own walk.  The one exception is a custom rule with an infinite
+    theta, whose Mertens product is then taken up to the largest cutoff rather
+    than to N.
     """
     if not cutoffs or min(cutoffs) < 1:
         raise RangeError("cutoffs must be positive integers")
-    ns, taus, tf = b_rows(rule, max(cutoffs))
-    m = np.exp(prime_sums(tf, _log_mertens)[0])
-    terms = taus.astype(np.float64) / ns.astype(np.float64) * m * m
-    return [fsum(terms[: np.searchsorted(ns, N, "right")]) for N in cutoffs]
+    cuts = sorted(set(cutoffs))
+    terms, tags = _series(
+        rule, cuts[-1], lambda n, tau: tau.astype(np.float64) / n.astype(np.float64),
+        (lambda n, _: np.searchsorted(cuts, n), np.min_scalar_type(len(cuts))),  # first cut >= n
+        (_log_mertens,), lambda v, logm: v * np.exp(logm) * np.exp(logm),
+    )
+    return [fsum(terms, lambda i, c, k=cuts.index(N): c[tags[i : i + len(c)] <= k]) for N in cutoffs]
 
 
 def _log_mertens(p):
-    return np.log1p(-1.0 / p)
+    q = np.divide(-1.0, p)
+    return np.log1p(q, out=q)  # in place: one temporary per prime block, not two
 
 
 def L_partial(rule, N):
@@ -211,17 +250,16 @@ def c_theta_breakdown(rule, N):
     Positivity of the summands (for theta(n) >= n) is an observation, not a
     guarantee at finite cutoff, so violations are reported rather than raised.
     """
-    ns, tf = b_rows(rule, N)[::2]
-    logp, logm = prime_sums(tf, lambda p: np.log(p) / (p - 1.0), _log_mertens)
-    nf = ns.astype(np.float64)
-    terms = (logp - np.log(nf)) * np.exp(logm) / nf
+    terms, big_theta = _series(
+        rule, N, lambda n, _: n.astype(np.float64), (lambda n, tf: tf >= n, bool),
+        (lambda p: np.log(p) / (p - 1.0), _log_mertens),
+        lambda n, logp, logm: (logp - np.log(n)) * np.exp(logm) / n,
+    )
     value = fsum(terms) / (1.0 - EXP_NEG_GAMMA)
-    big_theta = tf >= ns
-    negative = terms < -1e-12
     return {
         "value": value,
         "terms": int(terms.size),
-        "negative_terms": int(np.count_nonzero(negative & big_theta)),
+        "negative_terms": int(np.count_nonzero((terms < -1e-12) & big_theta)),
         "min_term": float(terms.min()),
     }
 

@@ -17,10 +17,10 @@ from .errors import RangeError, ResourceError
 # sieve entries, not bytes: at the cap 0.5 GiB for the int32 spf table and
 # 64 MiB for the odd-only bool prime sieve
 DEFAULT_SPF_BUDGET = 1 << 27
-# prime_sums holds one block at a time, so this bounds its time (about 40 s), not its
+# prime_walk holds one block at a time, so this bounds its time (about 40 s), not its
 # memory; theta at the practical MEMBER_LIMIT stays below it (about 5e9)
 PRIME_WALK_LIMIT = 1 << 33
-_BLOCK = 1 << 20  # odd numbers per block of prime_sums
+_BLOCK = 1 << 20  # odd numbers per block of prime_walk
 
 
 class SpfTable:
@@ -160,35 +160,46 @@ def build_prime_list(limit):
     return PrimeList(np.concatenate(([2], primes), dtype=np.int64), limit)
 
 
+def prime_walk(top, *terms):
+    """Blocks (lo, primes, cums) of the primes up to top, sieved from lo by odd_sieve.
+
+    Per f of terms, cum[i] is the longdouble sum of f over the primes below
+    primes[i], carried from block to block, so cum[searchsorted(primes, y,
+    "right")] has the bits of one cumsum over all the primes <= y.
+    """
+    if top + 1 > PRIME_WALK_LIMIT:
+        raise ResourceError(f"prime sieve of {top + 1} entries exceeds budget {PRIME_WALK_LIMIT}")
+    carry = [0.0] * len(terms)
+    # each block is made in a call, so that nothing here holds it while the next is made
+    return ((lo, *_prime_block(lo, top, terms, carry)) for lo in range(0, top + 1, 2 * _BLOCK))
+
+
+def _prime_block(lo, top, terms, carry):
+    last = min(lo + 2 * _BLOCK - 1, top)
+    ps = np.flatnonzero(odd_sieve(last, isqrt(last), lo)) * 2 + (lo + 1)
+    if lo == 0:
+        ps[:1] = 2  # 1 survives the sieve; 2 takes its place
+    cums = [np.empty(ps.size + 1, dtype=np.longdouble) for _ in terms]
+    for j, (f, cum) in enumerate(zip(terms, cums)):
+        cum[0] = carry[j]
+        cum[1:] = f(ps.astype(np.float64))
+        carry[j] = np.cumsum(cum, out=cum)[-1]
+    return ps, cums
+
+
 def prime_sums(ys, *terms):
     """sum_{p <= y} f(p) at every cutoff y of ys: one float64 array per f, shaped as ys.
 
-    odd_sieve sieves the odd numbers up to max floor(y) in blocks of _BLOCK.  f
-    maps a block's primes (float64) to terms, added in longdouble in ascending p
-    and seeded with the last sum of the block before, so every sum has the bits
-    of one cumsum over all the primes.
+    One prime_walk up to max floor(ys), read at the sorted floors of each block.
     """
     keys = np.floor(ys).astype(np.int64, copy=False).ravel()
-    top = int(keys.max(initial=0))
-    if top + 1 > PRIME_WALK_LIMIT:
-        raise ResourceError(f"prime sieve of {top + 1} entries exceeds budget {PRIME_WALK_LIMIT}")
+    blocks = prime_walk(int(keys.max(initial=0)), *terms)
     order = np.argsort(keys)
     keys = keys[order]
-    sums = [np.empty(keys.size) for _ in terms]
-    carry = [0.0] * len(terms)
-    a = 0
-    for lo in range(0, top + 1, 2 * _BLOCK):
-        hi = min(lo + 2 * _BLOCK, top + 1)
-        ps = np.flatnonzero(odd_sieve(hi - 1, isqrt(hi - 1), lo)) * 2 + (lo + 1)
-        if lo == 0:
-            ps[:1] = 2  # 1 survives the sieve; 2 takes its place
-        b = int(np.searchsorted(keys, hi))
-        idx = np.searchsorted(ps, keys[a:b], side="right")  # the floors in [lo, hi)
-        for j, f in enumerate(terms):
-            cum = np.empty(ps.size + 1, dtype=np.longdouble)
-            cum[0] = carry[j]
-            cum[1:] = f(ps.astype(np.float64))
-            carry[j] = np.cumsum(cum, out=cum)[-1]
-            sums[j][order[a:b]] = cum[idx]
-        a = b
+    sums = [np.zeros(keys.size) for _ in terms]  # a floor below 0 takes no prime
+    for lo, ps, cums in blocks:
+        a, b = np.searchsorted(keys, [lo, lo + 2 * _BLOCK])
+        idx = np.searchsorted(ps, keys[a:b], side="right")  # the floors in the block
+        for s, cum in zip(sums, cums):
+            s[order[a:b]] = cum[idx]
     return [s.reshape(np.shape(ys)) for s in sums]

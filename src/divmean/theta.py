@@ -30,9 +30,9 @@ from .errors import ConfigError, RangeError, ResourceError
 from .sieve import build_prime_list, divisors_sorted, odd_sieve
 
 ROUGH_LIMIT = 1 << 27
-# members materialised by generate_B and b_rows: they take about 22 and 68
-# bytes per member, so 2^26 keeps b_rows near 4.5 GB and still admits
-# B(1e9) = 64,782,731 for the practical rule
+# members materialised by generate_B (about 22 bytes each) and series rows (13
+# bytes each, beside one window of rows and one prime block), so 2^26 keeps a
+# series near 0.9 GB and still admits B(1e9) = 64,782,731 for the practical rule
 MEMBER_LIMIT = 1 << 26
 SUBSET_SUM_LIMIT = 10**6
 CUSTOM_ENUM_LIMIT = 10**6
@@ -239,7 +239,7 @@ def _theta_floors(rule, x, ns, sgs, cut=False):
     """floor(theta(n)) for arrays of members n with sigma(n); x stands for +inf.
 
     With cut, a floor above x may read x, as the walk's caps min(theta(n), x//n)
-    allow; without, one past int64 raises.
+    allow; without, floors past int64 come as Python integers in an object array.
     """
     if rule.kind != "custom" and int(x) * rule.t_num < 1 << 63:
         return rule.theta_floor(ns, sgs)
@@ -247,9 +247,7 @@ def _theta_floors(rule, x, ns, sgs, cut=False):
     # 52-bit numerator): one Python integer per member
     floors = map(rule.theta_floor, ns.tolist(), sgs.tolist())
     floors = [x if f is None or (cut and f > x) else f for f in floors]
-    if max(floors, default=0) >> 63:
-        raise RangeError(f"theta floor {max(floors)} beyond int64")
-    return np.array(floors, dtype=np.int64)
+    return np.array(floors, dtype=object if max(floors, default=0) >> 63 else np.int64)
 
 
 def _tally(parr, blocks, cuts):
@@ -280,14 +278,37 @@ def chain_stats_multi(rule, cutoffs):
 
 def b_rows(rule, x):
     """Arrays (n, tau, theta_floor) over B(x), ascending in n."""
-    (n, sg, tu, _, _), lens, p = _chain(rule, x)
-    ns = np.concatenate([n, np.repeat(n, lens) * p])
+    ns, taus, tf = map(np.concatenate, zip(*row_windows(rule, x)))
+    if tf.dtype == object:
+        raise RangeError(f"theta floor {tf.max()} beyond int64")
     order = np.argsort(ns)  # members are distinct, so any sort gives this order
-    ns = ns[order]  # one unsorted column at a time; floors are elementwise
-    taus = np.concatenate([tu, np.repeat(2 * tu, lens)])[order]
-    sgs = np.concatenate([sg, np.repeat(sg, lens) * (p + 1)])[order]
-    del order, p  # row-length arrays, freed before the floors are built
-    return ns, taus, _theta_floors(rule, x, ns, sgs)
+    return ns[order], taus[order], tf[order]
+
+
+def row_windows(rule, x):
+    """B(x)'s rows (n, tau(n), floor(theta(n))) in windows of at most _util.CHUNK, unsorted.
+
+    Each walk block gives its parents, then its leaves, a window of which may
+    split one parent's slice.  More than MEMBER_LIMIT members are refused as soon
+    as the walk passes it.  Floors past int64 come as Python integers.
+    """
+    parr, blocks = _walk(rule, x)
+    members = 0
+    for (ns, sgs, tus, lo, hi), _ in blocks:
+        ends = np.cumsum(hi - lo)
+        members += len(ns) + int(ends[-1])
+        if members > MEMBER_LIMIT:
+            raise ResourceError(f"{members} chain members exceed budget {MEMBER_LIMIT}")
+        yield ns, tus, _theta_floors(rule, x, ns, sgs)
+        for s in range(0, int(ends[-1]), _util.CHUNK):
+            e = min(s + _util.CHUNK, int(ends[-1]))
+            a, b = np.searchsorted(ends, [s, e - 1], side="right") + [0, 1]  # leaves s..e-1
+            first = np.maximum(ends[a:b] - (hi - lo)[a:b], s)
+            cnt = np.minimum(ends[a:b], e) - first
+            p = parr[_slices(hi[a:b] - ends[a:b] + first, cnt)]
+            n, sg, tu = (np.repeat(v[a:b], cnt) for v in (ns, sgs, tus))
+            n *= p
+            yield n, 2 * tu, _theta_floors(rule, x, n, sg * (p + 1))
 
 
 def _rough_mask(x, y):

@@ -279,10 +279,11 @@ class TestVerify:
         assert out == ""
         assert err.splitlines() == ["error: cutoffs must be positive integers"]
 
-    def test_series_ladder_walks_once(self, capsys, monkeypatch):
-        # three cutoffs share one walk; the Mertens sums list no prime above
-        # the square root of the largest theta
-        calls = {"b_rows": [], "build_prime_list": [], "odd_sieve": []}
+    def test_series_ladder_walks_twice(self, capsys, monkeypatch):
+        # the cutoffs share two walks of B(N), one to count the rows of each
+        # prime block and one to write them, and never b_rows; the Mertens
+        # sums build no prime list and strike with the primes up to sqrt(theta)
+        calls = {"b_rows": [], "_walk": [], "build_prime_list": [], "odd_sieve": []}
 
         def recorded(mod, name):
             fn = getattr(mod, name)
@@ -294,21 +295,34 @@ class TestVerify:
 
             monkeypatch.setattr(mod, name, wrapper)
 
-        recorded(report, "b_rows")
+        practical = theta.ThetaRule.practical()
+        tops = {n: int(theta.b_rows(practical, n)[2].max()) for n in (1, 100000)}
+        recorded(theta, "b_rows")
+        recorded(theta, "_walk")
         for mod in (report, sieve, theta):
             recorded(mod, "build_prime_list")
         recorded(sieve, "odd_sieve")
-        code, out, _ = run(["verify", "L", "--theta", "practical", "--n", "100000"], capsys)
-        assert code == 0
-        assert len(out.splitlines()) == 5
-        ((_, _, (_, _, tf)),) = calls["b_rows"]
-        # theta's list serves the chain walk; the Mertens side builds none
-        assert [mod for mod, _, _ in calls["build_prime_list"]] == ["divmean.theta"]
-        # and sieves one block at a time, striking with the primes up to sqrt(theta)
-        assert calls["odd_sieve"]
-        for _, (limit, bound, *lo), _ in calls["odd_sieve"]:
-            assert bound <= math.isqrt(int(tf.max()))
-            assert limit - sum(lo) < 2 * sieve._BLOCK
+        for n, cutoffs in ((100000, 3), (1, 1)):
+            for key in calls:
+                calls[key].clear()
+            code, out, _ = run(["verify", "L", "--theta", "practical", "--n", str(n)], capsys)
+            assert code == 0
+            assert len(out.splitlines()) == cutoffs + 2
+            assert calls["b_rows"] == []
+            assert [x for _, (_, x), _ in calls["_walk"]] == [n, n]
+            # theta's lists serve the two walks; the Mertens side builds none
+            assert [mod for mod, _, _ in calls["build_prime_list"]] == ["divmean.theta"] * 2
+            # and sieves one block at a time, striking with the primes up to sqrt(theta)
+            assert calls["odd_sieve"]
+            for _, (limit, bound, *lo), _ in calls["odd_sieve"]:
+                assert bound <= math.isqrt(tops[n])
+                assert limit - sum(lo) < 2 * sieve._BLOCK
+
+    def test_series_n_1_prints_one_row(self, capsys):
+        # every rung of the ladder is capped at --n
+        code, out, err = run(["verify", "L", "--n", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert out == "N,L_partial\n1,0.25\nPASS\n"
 
     def test_series_above_old_sieve_budget(self, capsys):
         # max theta is about 1.4e8, past the 2^27 entries a full prime list may hold

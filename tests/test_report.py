@@ -12,7 +12,7 @@ from divmean import report as R
 from divmean.errors import ConfigError, RangeError
 from divmean.funcs import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, get_bundle
 from divmean.sieve import build_prime_list
-from divmean.theta import ThetaRule, b_rows
+from divmean.theta import ThetaRule, b_rows, chain_stats_multi
 
 
 def _log_mertens(p):
@@ -216,6 +216,76 @@ class TestCTheta:
         info = R.c_theta_breakdown(rule, 16)
         assert info["min_term"] < 0.0
         assert info["negative_terms"] == 0
+
+
+def _custom_with_infinite_theta(x):
+    # theta(n) = n + 1, or +inf for multiples of 5: admissible, and a floor
+    # of inf reads as the largest cutoff
+    return ThetaRule.custom({n: math.inf if n % 5 == 0 else n + 1 for n in range(1, x + 1)})
+
+
+class TestSeriesEngine:
+    """Windows of 7 rows and prime blocks of 1, 3 and 500 odd numbers change no bit."""
+
+    X = 2000
+    RULES = {
+        "practical": ThetaRule.practical(),
+        "dense-2": ThetaRule.dense(2),
+        "dense-5/2": ThetaRule.dense(Fraction(5, 2)),
+        "custom-inf": _custom_with_infinite_theta(X),
+    }
+    CUTS = {
+        "ascending": [1, 10, 100, 1000, X],
+        "reversed": [X, 1000, 100, 10, 1],
+        "repeated": [100, 10, X, 100, 1, X],
+    }
+
+    @pytest.fixture(params=[1, 3, 500], ids=lambda b: f"block{b}")
+    def small(self, request, monkeypatch):
+        from divmean import _util, sieve
+
+        monkeypatch.setattr(_util, "CHUNK", 7)
+        monkeypatch.setattr(sieve, "_BLOCK", request.param)
+
+    @pytest.mark.parametrize("cuts", CUTS.values(), ids=CUTS.keys())
+    @pytest.mark.parametrize("rule", RULES.values(), ids=RULES.keys())
+    def test_L_equals_full_list_bitwise(self, rule, cuts, small, full_list_sums):
+        ns, taus, tf = b_rows(rule, max(cuts))
+        m = np.exp(full_list_sums(tf, _log_mertens))
+        terms = taus / ns.astype(np.float64) * m * m
+        want = [math.fsum(terms[ns <= n].tolist()) for n in cuts]
+        assert R.L_partial_multi(rule, cuts) == want
+
+    @pytest.mark.parametrize("n", [1, 100, X])
+    @pytest.mark.parametrize("rule", RULES.values(), ids=RULES.keys())
+    def test_c_theta_equals_full_list_bitwise(self, rule, n, small, full_list_sums):
+        ns, _, tf = b_rows(rule, n)
+        nf = ns.astype(np.float64)
+        logp = full_list_sums(tf, lambda p: np.log(p) / (p - 1.0))
+        terms = (logp - np.log(nf)) * np.exp(full_list_sums(tf, _log_mertens)) / nf
+        info = R.c_theta_breakdown(rule, n)
+        assert info["value"] == math.fsum(terms.tolist()) / (1.0 - EXP_NEG_GAMMA)
+        assert info["min_term"] == terms.min()
+        assert info["terms"] == terms.size
+        assert info["negative_terms"] == np.count_nonzero((terms < -1e-12) & (tf >= ns))
+
+    def test_traced_bytes_per_row(self):
+        # the series holds 13 bytes per row (uint32 offset, float64 payload,
+        # uint8 tag) next to one window and one prime block; b_rows with a
+        # sorted prime_sums held about 58
+        import tracemalloc
+
+        rule = ThetaRule.practical()
+        cuts = [10**5, 10**6, 10**7]
+        rows = chain_stats_multi(rule, [cuts[-1]])[0].count
+        assert rows == 829_157
+        tracemalloc.start()
+        try:
+            R.L_partial_multi(rule, cuts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * rows
 
 
 class TestEofX:
