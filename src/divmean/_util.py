@@ -1,7 +1,10 @@
 import itertools
 import math
 
-CHUNK = 1 << 16  # array entries turned into one Python list at a time
+CHUNK = 1 << 14  # entries per Python list, walk block and series window: bounds their temporaries
+EULER_GAMMA = 0.5772156649015329  # float(np.euler_gamma), without loading numpy
+EXP_NEG_GAMMA = math.exp(-EULER_GAMMA)
+EXP_NEG_2GAMMA = math.exp(-2.0 * EULER_GAMMA)
 
 
 def pmap_ordered(fn, items, threads=1):

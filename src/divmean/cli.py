@@ -6,6 +6,7 @@ verification rows); progress and error text go to stderr.  Exit codes:
 """
 
 import argparse
+import contextlib
 import math
 import sys
 from fractions import Fraction
@@ -51,11 +52,8 @@ def _theta_rule(name, t):
 
 
 def _emit(text, path):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
 def _cmd_constants(args):
@@ -92,19 +90,16 @@ def _cmd_fn(args):
 
 
 def _cmd_enumerate(args):
-    # members first: a rejected request leaves --out untouched
+    # members (rough: checked arguments) first: a rejected request leaves --out untouched
     if args.kind == "rough":
         if args.y is None:
             raise DivmeanError("rough enumeration needs --y")
-        members, what = theta.rough_members(args.x, args.y), "rough"
+        blocks, what = theta.rough_member_blocks(args.x, args.y), "rough"  # sieved as written
     else:
-        members, what = theta.generate_B(_theta_rule(args.kind, args.t), args.x), "chain"
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_lines(fh, members)
-    else:
-        write_lines(sys.stdout, members)
-    print(f"enumerated {len(members)} {what} members", file=sys.stderr, flush=True)
+        blocks, what = [theta.generate_B(_theta_rule(args.kind, args.t), args.x)], "chain"
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        count = sum(write_lines(fh, members) for members in blocks)
+    print(f"enumerated {count} {what} members", file=sys.stderr, flush=True)
     return 0
 
 

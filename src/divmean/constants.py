@@ -24,15 +24,9 @@ from functools import cache
 
 import numpy as np
 
+from ._util import EULER_GAMMA, EXP_NEG_2GAMMA, EXP_NEG_GAMMA
 from .errors import ContourError, PoleError, RangeError, SolverError
-from .funcs import (
-    EULER_GAMMA,
-    EXP_NEG_2GAMMA,
-    EXP_NEG_GAMMA,
-    _quad_sum,
-    get_bundle,
-    panel_rows,
-)
+from .funcs import _quad_sum, get_bundle, panel_rows
 
 DELTA_BRACKET = (0.713611, 0.713614)
 _GL16 = np.polynomial.legendre.leggauss(16)

@@ -27,11 +27,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from ._util import EXP_NEG_2GAMMA, EXP_NEG_GAMMA
 from .errors import RangeError
-
-EULER_GAMMA = float(np.euler_gamma)
-EXP_NEG_GAMMA = math.exp(-EULER_GAMMA)
-EXP_NEG_2GAMMA = math.exp(-2.0 * EULER_GAMMA)
 
 OMEGA_STEP_BITS = 10
 OMEGA_BLOCKS = 13

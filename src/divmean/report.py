@@ -9,19 +9,15 @@ later is a data change, not a code change.
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._util import fmt15, fsum
-from .constants import lambda1_closed_form, root_certificate
+# the lazy modules, read at call time: a command runs only the bodies it calls into
+from . import constants, funcs, sieve, theta
+from ._util import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, fmt15, fsum
 from .errors import ConfigError, RangeError
-from .funcs import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, get_bundle
-from . import sieve
-from .sieve import build_prime_list
-from .theta import ThetaRule, chain_stats_multi, dense_stats, rough_stats, row_windows
 
 DEFAULT_SLACK = 5.0
 GRID_POINT_LIMIT = 10**6  # rows of one tabulated function or figure
@@ -31,8 +27,8 @@ FIGURE_GRIDS = {"fig1": (1.0, 15.0, 0.25), "fig2": (0.0, 50.0, 0.5)}
 
 def growth_constants():
     """(exponent, leading, correction) of the dense tau-sum asymptote."""
-    cert = root_certificate("delta")
-    return cert.location.real, cert.residue.real, lambda1_closed_form()
+    cert = constants.root_certificate("delta")
+    return cert.location.real, cert.residue.real, constants.lambda1_closed_form()
 
 
 @dataclass(frozen=True)
@@ -108,8 +104,8 @@ def _rough_terms(x, y):
         raise RangeError(f"y must be >= 2, got {y}")
     ly = math.log(y)
     # a fractional y needs primes up to ceil(y)
-    pi_y = build_prime_list(max(2, math.ceil(y))).mertens(y)
-    return get_bundle(), ly, math.log(x) / ly, pi_y
+    pi_y = sieve.build_prime_list(max(2, math.ceil(y))).mertens(y)
+    return funcs.get_bundle(), ly, math.log(x) / ly, pi_y
 
 
 def estimate_phi(x, y):
@@ -135,7 +131,7 @@ def estimate_harmonic(x, y):
 
 def compare_rough(x, y):
     """Rows for the rough count, tau sum, harmonic sum, and tau mean."""
-    st = rough_stats(x, y)
+    st = theta.rough_stats(x, y)
     b, ly, u, _ = _rough_terms(x, y)
     lx = math.log(x)
     params = (("x", x), ("y", y))
@@ -156,8 +152,8 @@ def compare_rough(x, y):
 
 def compare_dense(x, t):
     """Rows for the dense tau sum against its growth and order estimates."""
-    st = dense_stats(x, t)
-    b = get_bundle()
+    st = theta.dense_stats(x, t)
+    b = funcs.get_bundle()
     lt = math.log(t)
     v = math.log(x) / lt
     lam = b.growth(v)
@@ -177,40 +173,40 @@ def fit_nu_practical(xs):
     if not cuts or cuts[0] < 2:
         raise RangeError("cutoffs must be integers >= 2")
     d = growth_constants()[0]
-    stats = chain_stats_multi(ThetaRule.practical(), cuts)
+    stats = theta.chain_stats_multi(theta.ThetaRule.practical(), cuts)
     return [(s.x, s.tau_sum / (s.x * math.log(s.x) ** d)) for s in stats]
 
 
 def _series(rule, x, payload, tag, terms, finish):
-    """Terms and tags of B(x)'s rows.  Walk 1 counts the rows in each prime block
-    (by theta floor); walk 2 stores each row's offset in its block, payload(n, tau)
-    and tag[0](n, floor).  Per block of the prime walk over terms, the rows read the
+    """Terms and tags of B(x)'s rows.  Walk 1 counts the rows in each prime sub-block
+    (by theta floor); walk 2 stores each row's offset in its sub-block, payload(n, tau)
+    and tag[0](n, floor).  Per sub-block of the prime walk over terms, the rows read the
     sums at their floors in offset order, and finish(payloads, *sums) gives the terms."""
-    span, top, per = 2 * sieve._BLOCK, 0, Counter()
-    for _, _, tf in row_windows(rule, x):  # walk 1
+    span, top, counts = 2 * min(sieve._SUB, sieve._BLOCK), 0, np.zeros(1, dtype=np.int64)
+    for _, _, tf in theta.row_windows(rule, x):  # walk 1
         top = max(top, int(tf.max()))
-        per.update(dict(zip(*np.unique(tf // span, return_counts=True))))
+        if not top >> 63:  # else the walk goes on only to name the largest floor
+            c = np.bincount(tf // span, minlength=counts.size)
+            counts = c + np.pad(counts, (0, c.size - counts.size))
     if top >> 63:
         raise RangeError(f"theta floor {top} beyond int64")
     blocks = sieve.prime_walk(top, *terms)
-    counts = np.array([per[b] for b in range(top // span + 1)])
     ends = np.cumsum(counts)
     off, vals = np.empty(ends[-1], dtype=np.uint32), np.empty(ends[-1])
     tags, cursor = np.empty(ends[-1], dtype=tag[1]), ends - counts
-    for n, tu, tf in row_windows(rule, x):  # walk 2
-        order = np.argsort(tf // span)
-        n, tu, tf = n[order], tu[order], tf[order]
+    for n, tu, tf in theta.row_windows(rule, x):  # walk 2
         bk = tf // span
+        order = np.argsort(bk.astype(np.min_scalar_type(len(counts))), kind="stable")  # radix
+        n, tu, tf, bk = n[order], tu[order], tf[order], bk[order]
         pos = (cursor - np.searchsorted(bk, np.arange(len(cursor))))[bk] + np.arange(len(bk))
         cursor += np.bincount(bk, minlength=len(cursor))
         off[pos], vals[pos], tags[pos] = tf - bk * span, payload(n, tu), tag[0](n, tf)
-    for lo, ps, cums in blocks:  # not zipped: zip would hold each block while the next is made
+    for lo, ps, cums in blocks:
         a, b = ends[lo // span] - counts[lo // span], ends[lo // span]
         key = np.sort(off[a:b].astype(np.uint64) << 32 | np.arange(b - a, dtype=np.uint64))
         idx = np.empty(b - a, dtype=np.intp)  # looked up in offset order, kept in row order
         idx[key & 0xFFFFFFFF] = np.searchsorted(ps, (key >> 32).astype(np.int64) + lo, "right")
         vals[a:b] = finish(vals[a:b], *(cum[idx].astype(np.float64) for cum in cums))
-        del ps, cums  # before the walk makes the next block
     return vals, tags
 
 
@@ -236,7 +232,7 @@ def L_partial_multi(rule, cutoffs):
 
 def _log_mertens(p):
     q = np.divide(-1.0, p)
-    return np.log1p(q, out=q)  # in place: one temporary per prime block, not two
+    return np.log1p(q, out=q)  # in place: one temporary per prime sub-block, not two
 
 
 def L_partial(rule, N):
@@ -317,7 +313,7 @@ def tabulate_fn(name, lo, hi, step):
     if name not in attrs:
         raise RangeError(f"unknown function {name!r}")
     xs = _grid(float(lo), float(hi), float(step))
-    fn = getattr(get_bundle(), attrs[name])  # builds only the table asked for
+    fn = getattr(funcs.get_bundle(), attrs[name])  # builds only the table asked for
     var = "v" if name == "lambda" else "u"
     vals = fn.eval_many(xs)
     budget = np.full_like(xs, fn.err_budget)
@@ -332,7 +328,7 @@ def emit_figure_data(which, lo=None, hi=None, step=None):
     xs = _grid(*(d if v is None else float(v) for v, d in grid))
     if which == "fig2" and xs[0] <= -1.0:  # (v+1)^delta and 1/(v+1) need v > -1
         raise RangeError(f"fig2 grid must start above -1, got {fmt15(xs[0])}")
-    b = get_bundle()
+    b = funcs.get_bundle()
     if which == "fig1":
         xi = b.ratio.eval_many(xs)
         om = b.buchstab.eval_many(xs)

@@ -17,10 +17,12 @@ from .errors import RangeError, ResourceError
 # sieve entries, not bytes: at the cap 0.5 GiB for the int32 spf table and
 # 64 MiB for the odd-only bool prime sieve
 DEFAULT_SPF_BUDGET = 1 << 27
-# prime_walk holds one block at a time, so this bounds its time (about 40 s), not its
-# memory; theta at the practical MEMBER_LIMIT stays below it (about 5e9)
+# prime_walk holds one block's mask and one sub-block's sums at a time, so this
+# bounds its time (about 40 s), not its memory; theta at the practical
+# MEMBER_LIMIT stays below it (about 5e9)
 PRIME_WALK_LIMIT = 1 << 33
-_BLOCK = 1 << 20  # odd numbers per block of prime_walk
+_BLOCK = 1 << 20  # odd numbers struck at a time by prime_walk and the rough sieve (a 1 MB mask)
+_SUB = 1 << 18  # odd numbers per sub-block of prime_walk; min(_SUB, _BLOCK) must divide _BLOCK
 
 
 class SpfTable:
@@ -107,7 +109,7 @@ def divisors_sorted(n, table):
 
 
 class PrimeList:
-    """All primes <= limit, with the Mertens product at one cutoff; prime_sums takes many."""
+    """All primes <= limit, with the Mertens product at one cutoff; prime_walk takes many."""
 
     __slots__ = ("primes", "limit")
 
@@ -154,52 +156,42 @@ def odd_sieve(limit, bound, lo=0):
 
 def build_prime_list(limit):
     _check_sieve(limit, "prime sieve")
-    odd = odd_sieve(limit, isqrt(limit))
-    odd[0] = False
-    primes = np.flatnonzero(odd) * 2 + 1
-    return PrimeList(np.concatenate(([2], primes), dtype=np.int64), limit)
+    primes = (np.flatnonzero(odd_sieve(limit, isqrt(limit))) * 2 + 1).astype(np.int64, copy=False)
+    primes[0] = 2  # 1 survives the sieve; 2 takes its place
+    return PrimeList(primes, limit)
 
 
 def prime_walk(top, *terms):
-    """Blocks (lo, primes, cums) of the primes up to top, sieved from lo by odd_sieve.
+    """Sub-blocks (lo, primes, cums) of the primes up to top, lo = 0, span, 2*span, ...
 
-    Per f of terms, cum[i] is the longdouble sum of f over the primes below
-    primes[i], carried from block to block, so cum[searchsorted(primes, y,
-    "right")] has the bits of one cumsum over all the primes <= y.
+    odd_sieve strikes _BLOCK odd numbers at a time, and each block is read in
+    sub-blocks of min(_SUB, _BLOCK) odd numbers, span = twice that.  Per f of
+    terms, cum[i] is the longdouble sum of f over the primes below primes[i],
+    carried from sub-block to sub-block, so cum[searchsorted(primes, y, "right")]
+    has the bits of one cumsum over all the primes <= y.  The sums of one
+    sub-block are overwritten by the next: read them before asking for it.
     """
     if top + 1 > PRIME_WALK_LIMIT:
         raise ResourceError(f"prime sieve of {top + 1} entries exceeds budget {PRIME_WALK_LIMIT}")
-    carry = [0.0] * len(terms)
-    # each block is made in a call, so that nothing here holds it while the next is made
-    return ((lo, *_prime_block(lo, top, terms, carry)) for lo in range(0, top + 1, 2 * _BLOCK))
+    return _sub_blocks(top, terms)
 
 
-def _prime_block(lo, top, terms, carry):
-    last = min(lo + 2 * _BLOCK - 1, top)
-    ps = np.flatnonzero(odd_sieve(last, isqrt(last), lo)) * 2 + (lo + 1)
-    if lo == 0:
-        ps[:1] = 2  # 1 survives the sieve; 2 takes its place
-    cums = [np.empty(ps.size + 1, dtype=np.longdouble) for _ in terms]
-    for j, (f, cum) in enumerate(zip(terms, cums)):
-        cum[0] = carry[j]
-        cum[1:] = f(ps.astype(np.float64))
-        carry[j] = np.cumsum(cum, out=cum)[-1]
-    return ps, cums
-
-
-def prime_sums(ys, *terms):
-    """sum_{p <= y} f(p) at every cutoff y of ys: one float64 array per f, shaped as ys.
-
-    One prime_walk up to max floor(ys), read at the sorted floors of each block.
-    """
-    keys = np.floor(ys).astype(np.int64, copy=False).ravel()
-    blocks = prime_walk(int(keys.max(initial=0)), *terms)
-    order = np.argsort(keys)
-    keys = keys[order]
-    sums = [np.zeros(keys.size) for _ in terms]  # a floor below 0 takes no prime
-    for lo, ps, cums in blocks:
-        a, b = np.searchsorted(keys, [lo, lo + 2 * _BLOCK])
-        idx = np.searchsorted(ps, keys[a:b], side="right")  # the floors in the block
-        for s, cum in zip(sums, cums):
-            s[order[a:b]] = cum[idx]
-    return [s.reshape(np.shape(ys)) for s in sums]
+def _sub_blocks(top, terms):
+    sub, carry = min(_SUB, _BLOCK), [0.0] * len(terms)
+    cums = pf = np.empty((len(terms), 0))  # one set of buffers, grown as a sub-block needs
+    for lo in range(0, top + 1, 2 * _BLOCK):
+        last = min(lo + 2 * _BLOCK - 1, top)
+        odd = odd_sieve(last, isqrt(last), lo)
+        for s in range(0, (last - lo) // 2 + 1, sub):  # an even top may start an empty one
+            ps = np.flatnonzero(odd[s : s + sub]) * 2 + (lo + 2 * s + 1)
+            if lo + s == 0:
+                ps[:1] = 2  # 1 survives the sieve; 2 takes its place
+            k = ps.size
+            if cums.shape[1] <= k:
+                cums, pf = np.empty((len(terms), k + 1), dtype=np.longdouble), np.empty(k)
+            pf[:k] = ps
+            for j, (f, cum) in enumerate(zip(terms, cums[:, : k + 1])):
+                cum[0] = carry[j]
+                cum[1:] = f(pf[:k])
+                carry[j] = np.cumsum(cum, out=cum)[-1]
+            yield lo + 2 * s, ps, cums[:, : k + 1]

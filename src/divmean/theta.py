@@ -25,13 +25,13 @@ from math import isqrt
 
 import numpy as np
 
-from . import _util
+from . import _util, sieve
 from .errors import ConfigError, RangeError, ResourceError
 from .sieve import build_prime_list, divisors_sorted, odd_sieve
 
 ROUGH_LIMIT = 1 << 27
 # members materialised by generate_B (about 22 bytes each) and series rows (13
-# bytes each, beside one window of rows and one prime block), so 2^26 keeps a
+# bytes each, beside one window of rows and one prime sub-block), so 2^26 keeps a
 # series near 0.9 GB and still admits B(1e9) = 64,782,731 for the practical rule
 MEMBER_LIMIT = 1 << 26
 SUBSET_SUM_LIMIT = 10**6
@@ -311,48 +311,71 @@ def row_windows(rule, x):
             yield n, 2 * tu, _theta_floors(rule, x, n, sg * (p + 1))
 
 
-def _rough_mask(x, y):
-    """Odd sieve mask of the n <= x with no prime factor <= y (n=1 included)."""
+def _rough_blocks(x, y):
+    """(i, mask) per block of sieve._BLOCK odd numbers up to x, mask[j] true when 2(i + j) + 1
+    has no prime factor <= y (n=1 included).  x and y are checked before any block."""
     if x < 1:
         raise RangeError(f"x must be >= 1, got {x}")
     if y < 2:
         raise RangeError(f"y must be >= 2, got {y}")
     if x > ROUGH_LIMIT:
         raise RangeError(f"x={x} above rough sieve limit {ROUGH_LIMIT}")
-    yf = min(math.floor(y), x)
+    yf, span = min(math.floor(y), x), 2 * sieve._BLOCK
+    return ((lo // 2, _rough_block(lo, min(lo + span - 1, x), yf)) for lo in range(0, x + 1, span))
+
+
+def _rough_block(lo, last, yf):
     # y >= 2 rules out every even n; the odd survivors of the primes up to
-    # min(y, sqrt(x)) are 1, the odd primes and the y-rough composites
-    odd = odd_sieve(x, min(yf, isqrt(x)))
-    odd[1 : (yf + 1) // 2] = False  # 3, 5, ..., y: each has a factor <= y
+    # min(y, sqrt(last)) are 1, the odd primes and the y-rough composites
+    odd = odd_sieve(last, yf, lo)
+    odd[max(1 - lo // 2, 0) : max((yf + 1) // 2 - lo // 2, 0)] = False  # 3, 5, ..., y
     return odd
+
+
+def rough_member_blocks(x, y):
+    """The n <= x with no prime factor <= y (n=1 included), ascending, one array per block."""
+    return (np.flatnonzero(odd) * 2 + (2 * i + 1) for i, odd in _rough_blocks(x, y))
 
 
 def rough_members(x, y):
     """Ascending array of n <= x with no prime factor <= y (n=1 included)."""
-    return np.flatnonzero(_rough_mask(x, y)) * 2 + 1
+    return np.concatenate(list(rough_member_blocks(x, y)))
 
 
-def _phi_S(odd, x):
-    """Phi(x, y) and S(x, y) from the rough mask odd of x, without its members.
+def _rough_sums(x, y, harmonic):
+    """Phi(x, y), S(x, y) and, if harmonic, sum 1/n over the y-rough n <= x (else 0.0).
 
     Divisors of rough numbers are rough, so S counts the pairs a*b <= x of
     members: those with a <= sqrt(x), twice, less those with both <= sqrt(x).
-    The members <= x//a are a prefix of the mask, longer as a falls, so the
-    counts of all the prefixes come from one pass over the mask in segments.
+    One pass over the blocks keeps a running count of members, read at the end
+    (x//a + 1)//2 of each a's odd numbers; fsum takes the reciprocals as it goes.
     """
-    small = np.flatnonzero(odd[: (isqrt(x) + 1) // 2]) * 2 + 1  # rough a <= sqrt(x)
-    ends = [0] + ((x // small[::-1] + 1) // 2).tolist()  # the last is len(odd)
-    segs = (np.count_nonzero(odd[i:j]) for i, j in zip(ends, ends[1:]))
-    counts = list(itertools.accumulate(segs))
-    return int(counts[-1]), 2 * int(sum(counts)) - len(small) ** 2
+    blocks = _rough_blocks(x, y)
+    # the rough a <= sqrt(x), by a sieve of their own; not rough_members, which perfbench spans
+    small = np.concatenate(list(rough_member_blocks(isqrt(x), y)))
+    ends = ((x // small[::-1] + 1) // 2).tolist()  # the last, (x + 1)//2, ends the pass
+    counts = []
+
+    def reciprocals():
+        k = c = 0
+        for i, odd in blocks:
+            j = 0
+            while k < len(ends) and ends[k] - i <= odd.size:
+                c += int(np.count_nonzero(odd[j : ends[k] - i]))
+                j = ends[k] - i
+                counts.append(c)
+                k += 1
+            c += int(np.count_nonzero(odd[j:]))
+            for s in range(0, odd.size if harmonic else 0, _util.CHUNK):
+                yield (1.0 / (2 * (np.flatnonzero(odd[s : s + _util.CHUNK]) + i + s) + 1)).tolist()
+
+    harm = math.fsum(itertools.chain.from_iterable(reciprocals()))
+    return counts[-1], 2 * sum(counts) - len(small) ** 2, harm
 
 
 def rough_stats(x, y):
     """Exact Phi(x,y), S(x,y), and the rough harmonic sum (n=1 included)."""
-    odd = _rough_mask(x, y)
-    phi, tau_sum = _phi_S(odd, x)
-    harm = _util.fsum(odd, lambda i, chunk: 1.0 / (2 * (np.flatnonzero(chunk) + i) + 1))
-    return SeqStats(x, phi, tau_sum, harm)
+    return SeqStats(x, *_rough_sums(x, y, harmonic=True))
 
 
 def dense_stats(x, t):
@@ -415,7 +438,7 @@ def verify_funceq(x, rule):
         zs = x // recs[0]
         sel = caps < zs
         for z, w, tu in zip(zs[sel].tolist(), caps[sel].tolist(), recs[2, sel].tolist()):
-            phi, tau_sum = _phi_S(_rough_mask(z, w), z)
+            phi, tau_sum, _ = _rough_sums(z, w, harmonic=False)
             rhs_tau += tu * (tau_sum - 1)
             rhs_count += phi - 1
     return {

@@ -74,13 +74,27 @@ class TestEnumerate:
         assert [int(s) for s in out.split()] == expected
         assert "enumerated" in err  # progress stays off stdout
 
+    def test_rough_streams_block_by_block(self, capsys, monkeypatch, rough_reference):
+        # blocks of 3 odd numbers: the members are written as each block is
+        # sieved, in order, and counted over every block
+        monkeypatch.setattr(sieve, "_BLOCK", 3)
+        code, out, err = run(["enumerate", "rough", "--x", "1000", "--y", "7.5"], capsys)
+        assert code == 0
+        members = rough_reference(1000, 7.5)[0].tolist()
+        assert out == "".join(f"{n}\n" for n in members)
+        assert err == f"enumerated {len(members)} rough members\n"
+
     def test_rough_requires_y(self, capsys):
         assert run(["enumerate", "rough", "--x", "100"], capsys)[0] == 2
 
     @pytest.mark.parametrize(
         "argv",
-        [["enumerate", "practical", "--x", "0"], ["enumerate", "rough", "--x", "100"]],
-        ids=["practical-x0", "rough-no-y"],
+        [
+            ["enumerate", "practical", "--x", "0"],
+            ["enumerate", "rough", "--x", "100"],
+            ["enumerate", "rough", "--x", "0", "--y", "3"],
+        ],
+        ids=["practical-x0", "rough-no-y", "rough-x0"],
     )
     def test_rejected_request_keeps_out_file(self, argv, capsys, tmp_path):
         path = tmp_path / "f"
@@ -281,7 +295,7 @@ class TestVerify:
 
     def test_series_ladder_walks_twice(self, capsys, monkeypatch):
         # the cutoffs share two walks of B(N), one to count the rows of each
-        # prime block and one to write them, and never b_rows; the Mertens
+        # prime sub-block and one to write them, and never b_rows; the Mertens
         # sums build no prime list and strike with the primes up to sqrt(theta)
         calls = {"b_rows": [], "_walk": [], "build_prime_list": [], "odd_sieve": []}
 
@@ -299,7 +313,8 @@ class TestVerify:
         tops = {n: int(theta.b_rows(practical, n)[2].max()) for n in (1, 100000)}
         recorded(theta, "b_rows")
         recorded(theta, "_walk")
-        for mod in (report, sieve, theta):
+        # report reads sieve.build_prime_list through the module; theta holds its own name
+        for mod in (sieve, theta):
             recorded(mod, "build_prime_list")
         recorded(sieve, "odd_sieve")
         for n, cutoffs in ((100000, 3), (1, 1)):

@@ -9,8 +9,14 @@ from hypothesis import strategies as st
 from scipy.special import exp1, gammaln
 
 from divmean import constants as C
+from divmean._util import EULER_GAMMA
 from divmean.errors import ContourError, PoleError, RangeError, SolverError
-from divmean.funcs import EXP_NEG_2GAMMA, EULER_GAMMA
+from divmean.funcs import EXP_NEG_2GAMMA
+
+
+def test_euler_gamma_literal_is_numpys():
+    # _util spells gamma out, so report takes e^-gamma without running funcs
+    assert EULER_GAMMA == float(np.euler_gamma)
 
 
 class TestGEvaluator:

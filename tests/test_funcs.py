@@ -604,7 +604,7 @@ class TestDemandMarch:
 
     def test_read_past_the_grid_marches_nothing(self, monkeypatch):
         b = FnBundle()
-        monkeypatch.setattr(report, "get_bundle", lambda: b)
+        monkeypatch.setattr(funcs, "get_bundle", lambda: b)  # report reads it from funcs
         with pytest.raises(RangeError):
             b.growth(51.0)
         with pytest.raises(RangeError):

@@ -94,12 +94,21 @@ _COMMAND_MODULES = [
         {"funcs", "constants", "report"},
     ),
     ([["constants", "--v", "5"]], {"constants", "funcs"}, {"report", "sieve", "theta"}),
-    ([["fn", "xi", "--to", "3"]], {"report"}, set()),
+    ([["fn", "xi", "--to", "3"]], {"report", "funcs"}, {"sieve", "theta"}),
+    ([["figures", "fig1"]], {"report", "funcs"}, {"sieve", "theta"}),
+    ([["verify", "L", "--n", "1000"]], {"report", "sieve", "theta"}, {"funcs", "constants"}),
+    (
+        [["verify", "ctheta", "--n", "1000", "--count-x", "10000"]],
+        {"report", "sieve", "theta"},
+        {"funcs", "constants"},
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argvs,ran,idle", _COMMAND_MODULES, ids=["import", "help", "chain", "constants", "fn"]
+    "argvs,ran,idle",
+    _COMMAND_MODULES,
+    ids=["import", "help", "chain", "constants", "fn", "figures", "verify-L", "verify-ctheta"],
 )
 def test_commands_run_only_the_modules_they_read(argvs, ran, idle):
     # a lazy module that has run is a plain module again

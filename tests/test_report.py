@@ -225,7 +225,8 @@ def _custom_with_infinite_theta(x):
 
 
 class TestSeriesEngine:
-    """Windows of 7 rows and prime blocks of 1, 3 and 500 odd numbers change no bit."""
+    """Windows of 7 rows and prime blocks of 1, 3, 500 and 16 (in sub-blocks of 4)
+    odd numbers change no bit."""
 
     X = 2000
     RULES = {
@@ -240,12 +241,18 @@ class TestSeriesEngine:
         "repeated": [100, 10, X, 100, 1, X],
     }
 
-    @pytest.fixture(params=[1, 3, 500], ids=lambda b: f"block{b}")
+    @pytest.fixture(
+        params=[1, 3, 500, (16, 4)],
+        ids=lambda b: f"block{b}" if isinstance(b, int) else "block%d-sub%d" % b,
+    )
     def small(self, request, monkeypatch):
+        # a lone block size leaves _SUB to clamp to it; (16, 4) cuts each block in four
         from divmean import _util, sieve
 
+        block, sub = (request.param, sieve._SUB) if isinstance(request.param, int) else request.param
         monkeypatch.setattr(_util, "CHUNK", 7)
-        monkeypatch.setattr(sieve, "_BLOCK", request.param)
+        monkeypatch.setattr(sieve, "_BLOCK", block)
+        monkeypatch.setattr(sieve, "_SUB", sub)
 
     @pytest.mark.parametrize("cuts", CUTS.values(), ids=CUTS.keys())
     @pytest.mark.parametrize("rule", RULES.values(), ids=RULES.keys())
@@ -271,8 +278,8 @@ class TestSeriesEngine:
 
     def test_traced_bytes_per_row(self):
         # the series holds 13 bytes per row (uint32 offset, float64 payload,
-        # uint8 tag) next to one window and one prime block; b_rows with a
-        # sorted prime_sums held about 58
+        # uint8 tag) next to one window and one prime sub-block; b_rows with a
+        # sorted prime-walk reader held about 58
         import tracemalloc
 
         rule = ThetaRule.practical()

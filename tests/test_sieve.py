@@ -14,7 +14,6 @@ from divmean.sieve import (
     build_spf_table,
     divisors_sorted,
     odd_sieve,
-    prime_sums,
     sigma,
     tau,
 )
@@ -174,14 +173,14 @@ def test_mertens_envelope(primes_1e5):
         assert E_GAMMA * (1 - band) <= got <= E_GAMMA * (1 + band), y
 
 
-def test_mertens_many_matches_scalar(primes_1e5):
+def test_mertens_many_matches_scalar(primes_1e5, prime_sums):
     ys = np.array([2.0, 10.0, 97.0, 1000.0, 99991.0])
     (bulk,) = prime_sums(ys, _log_mertens)
     for y, b in zip(ys, np.exp(bulk)):
         assert abs(b - primes_1e5.mertens(float(y))) < 1e-13
 
 
-def test_logp_pm1_identity():
+def test_logp_pm1_identity(prime_sums):
     # sum_{p<=y} log p/(p-1) = log y - gamma + o(1); loose structural check
     (got,) = prime_sums(np.array([10**5.0]), _log_pm1)
     assert abs(got[0] - (math.log(10**5) - np.euler_gamma)) < 0.01
@@ -228,7 +227,7 @@ def test_odd_sieve_matches_plain_sieve():
             assert np.array_equal(odd_sieve(limit, bound, lo), want), (lo, limit, bound)
 
 
-def test_sorted_pi_lookup_matches_unsorted(primes_1e5, rng):
+def test_sorted_pi_lookup_matches_unsorted(primes_1e5, rng, prime_sums):
     # a term of 1 per prime makes each sum pi(floor(y)), exactly
     primes = primes_1e5.primes
     # keys that repeat, fall exactly on primes or next to them, in random order
@@ -246,7 +245,7 @@ def test_sorted_pi_lookup_matches_unsorted(primes_1e5, rng):
 
 @pytest.mark.parametrize("rule", [ThetaRule.practical(), ThetaRule.dense(2), ThetaRule.dense(Fraction(5, 2))])
 @pytest.mark.parametrize("n", [10, 10**3, 10**5, 10**6])
-def test_prime_sums_match_full_list(rule, n, full_list_sums):
+def test_prime_sums_match_full_list(rule, n, full_list_sums, prime_sums):
     # the theta floors of a series walk, read bit for bit as the full list did
     tf = b_rows(rule, n)[2]
     got = prime_sums(tf, _log_mertens, _log_pm1)
@@ -255,7 +254,8 @@ def test_prime_sums_match_full_list(rule, n, full_list_sums):
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 500])
-def test_prime_sums_tiny_blocks(block, monkeypatch, full_list_sums, rng):
+def test_prime_sums_tiny_blocks(block, monkeypatch, full_list_sums, rng, prime_sums):
+    # each block is one sub-block: _SUB clamps to a _BLOCK below it
     monkeypatch.setattr(sieve, "_BLOCK", block)
     top = 20_000  # even: the last floors lie past the last odd number
     edges = np.arange(0, top, 2 * block)
@@ -273,7 +273,25 @@ def test_prime_sums_tiny_blocks(block, monkeypatch, full_list_sums, rng):
     assert np.exp(low).tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
-def test_prime_walk_budget():
+def test_prime_walk_budget(prime_sums):
     # refused before the first block is sieved
     with pytest.raises(ResourceError):
         prime_sums(np.array([2, PRIME_WALK_LIMIT]), _log_mertens)
+
+
+@pytest.mark.parametrize("block,sub,top", [(8, 2, 20_000), (64, 16, 20_000), (1 << 20, 1 << 18, 5 * 10**6)])
+def test_prime_walk_sub_blocks(block, sub, top, monkeypatch):
+    # a sub-block starts at every multiple of 2*sub up to top and holds the primes
+    # in [lo, lo + 2*sub), with the sums carried across sub-blocks and blocks
+    monkeypatch.setattr(sieve, "_BLOCK", block)
+    monkeypatch.setattr(sieve, "_SUB", sub)
+    primes = build_prime_list(top).primes
+    full = np.concatenate(([0.0], np.cumsum(_log_pm1(primes.astype(np.float64)), dtype=np.longdouble)))
+    for t in (2, 2 * sub, 4 * block, 4 * block + 1, top):
+        los = []
+        for lo, ps, (cum,) in sieve.prime_walk(t, _log_pm1):
+            los.append(lo)
+            a, b = np.searchsorted(primes, [lo, min(lo + 2 * sub, t + 1)])
+            assert np.array_equal(ps, primes[a:b]), (t, lo)
+            assert np.array_equal(cum, full[a : b + 1]), (t, lo)
+        assert los == list(range(0, t + 1, 2 * sub)), t

@@ -23,9 +23,8 @@ from divmean.theta import (
     _blocks,
     _chain,
     _isqrt,
-    _phi_S,
     _primes_for_rule,
-    _rough_mask,
+    _rough_sums,
     b_rows,
     chain_stats_multi,
     dense_stats,
@@ -268,14 +267,44 @@ class TestRoughStats:
 
 
     def test_mask_counts_match_member_array(self):
-        # Phi and S read from the sieve mask against the member array: its
+        # Phi and S read from the sieve blocks against the member array: its
         # length, and the hyperbola over searchsorted counts of x // a
         for y in (2, 2.5, 3, 5, 7, 10.5, 31, 100, 3000):
             for x in range(1, 3001):
                 rough = rough_members(x, y)
                 k = int(np.searchsorted(rough, math.isqrt(x), side="right"))
                 s = 2 * int(np.searchsorted(rough, x // rough[:k], side="right").sum()) - k * k
-                assert _phi_S(_rough_mask(x, y), x) == (len(rough), s), (x, y)
+                assert _rough_sums(x, y, harmonic=False) == (len(rough), s, 0.0), (x, y)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 8, 500])
+    def test_segmented_matches_single_mask(self, block, monkeypatch, rough_reference, rng):
+        # blocks of a few odd numbers, so the rough a <= sqrt(x) lie past the
+        # first block and the ends (x//a + 1)//2 fall in every block, on its
+        # edges too; the harmonic sum crosses chunk and block edges
+        monkeypatch.setattr("divmean.sieve._BLOCK", block)
+        monkeypatch.setattr("divmean._util.CHUNK", 7)
+        xs = rng.integers(1, 2000, 12).tolist() + [1, 2, 3, 4, 9, 10, 99, 100, 841]
+        xs += [2 * k * block + e for k in (1, 2, 5) for e in (-1, 1)]
+        for x in xs:
+            r = math.isqrt(x)
+            ys = [2, 2.5, float(rng.uniform(2, r + 2)), r, r + 0.5, r + 1, x + 1]
+            for y in [max(y, 2) for y in ys] + [float(rng.uniform(2, 60))]:
+                members, phi, tau_sum, harm = rough_reference(x, y)
+                assert rough_stats(x, y) == SeqStats(x, phi, tau_sum, harm), (x, y)
+                assert rough_members(x, y).tolist() == members.tolist(), (x, y)
+
+    def test_rough_path_holds_one_block(self):
+        # the mask over every odd number up to 2^23 would be 4 MB; the blocks
+        # hold one sieve block (1 MB) and one chunk of reciprocals
+        x = 1 << 23
+        tracemalloc.start()
+        try:
+            st_ = rough_stats(x, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st_.count == 563_734
+        assert peak < 3 << 20
 
 
 class TestChainStats:
@@ -386,6 +415,14 @@ class TestCountingIdentity:
         # the identity reads parent records only and never lists B(x)
         monkeypatch.setattr("divmean.theta.MEMBER_LIMIT", 1)
         assert verify_funceq(x, rule) == want
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_tiny_rough_blocks_change_nothing(self, block, spf_1e6, monkeypatch):
+        # every inner Phi and S read across blocks of a few odd numbers
+        rule = ThetaRule.practical()
+        want = _reference_funceq(10**4, rule, spf_1e6)
+        monkeypatch.setattr("divmean.sieve._BLOCK", block)
+        assert verify_funceq(10**4, rule) == want
 
     def test_theta_read_once_per_parent(self, monkeypatch):
         # a float t takes the one-Python-call-per-member floor path; the inner
