@@ -52,8 +52,11 @@ def _theta_rule(name, t):
 
 
 def _emit(text, path):
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(text)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_constants(args):
@@ -73,12 +76,8 @@ def _cmd_constants(args):
         f"lambda0 via integral = {fmt15(constants.lambda0_via_I(cert_full.location.real))}",
         f"lambda1 via residue = {fmt15(minus1.residue.real)}",
         f"lambda1 closed form = {fmt15(constants.lambda1_closed_form())}",
-        "pair zero = {} + {}i".format(
-            fmt15(pair.location.real), fmt15(pair.location.imag)
-        ),
-        "pair residue = {} + {}i".format(
-            fmt15(pair.residue.real), fmt15(pair.residue.imag)
-        ),
+        "pair zero = {} + {}i".format(fmt15(pair.location.real), fmt15(pair.location.imag)),
+        "pair residue = {} + {}i".format(fmt15(pair.residue.real), fmt15(pair.residue.imag)),
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -115,10 +114,7 @@ def _cmd_stats(args):
     else:
         st = theta.practical_stats(args.x)
     harm = fmt15(st.harmonic) if st.harmonic is not None else ""
-    _emit(
-        f"x,count,tau_sum,harmonic\n{st.x},{st.count},{st.tau_sum},{harm}\n",
-        args.out,
-    )
+    _emit(f"x,count,tau_sum,harmonic\n{st.x},{st.count},{st.tau_sum},{harm}\n", args.out)
     return 0
 
 

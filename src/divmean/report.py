@@ -182,10 +182,10 @@ def _series(rule, x, payload, tag, terms, finish):
     (by theta floor); walk 2 stores each row's offset in its sub-block, payload(n, tau)
     and tag[0](n, floor).  Per sub-block of the prime walk over terms, the rows read the
     sums at their floors in offset order, and finish(payloads, *sums) gives the terms."""
-    span, top, counts = 2 * min(sieve._SUB, sieve._BLOCK), 0, np.zeros(1, dtype=np.int64)
+    span, top, counts = sieve._span(), 0, np.zeros(1, dtype=np.int64)
     for _, _, tf in theta.row_windows(rule, x):  # walk 1
         top = max(top, int(tf.max()))
-        if not top >> 63:  # else the walk goes on only to name the largest floor
+        if top < sieve.PRIME_WALK_LIMIT:  # else prime_walk refuses; walk 1 only names the top
             c = np.bincount(tf // span, minlength=counts.size)
             counts = c + np.pad(counts, (0, c.size - counts.size))
     if top >> 63:

@@ -25,6 +25,10 @@ _BLOCK = 1 << 20  # odd numbers struck at a time by prime_walk and the rough sie
 _SUB = 1 << 18  # odd numbers per sub-block of prime_walk; min(_SUB, _BLOCK) must divide _BLOCK
 
 
+def _span():  # numbers spanned by one sub-block of prime_walk; a _BLOCK below _SUB clamps it
+    return 2 * min(_SUB, _BLOCK)
+
+
 class SpfTable:
     """spf[n] = smallest prime factor of n for 2 <= n <= limit; spf[0]=spf[1]=0."""
 
@@ -165,11 +169,11 @@ def prime_walk(top, *terms):
     """Sub-blocks (lo, primes, cums) of the primes up to top, lo = 0, span, 2*span, ...
 
     odd_sieve strikes _BLOCK odd numbers at a time, and each block is read in
-    sub-blocks of min(_SUB, _BLOCK) odd numbers, span = twice that.  Per f of
-    terms, cum[i] is the longdouble sum of f over the primes below primes[i],
-    carried from sub-block to sub-block, so cum[searchsorted(primes, y, "right")]
-    has the bits of one cumsum over all the primes <= y.  The sums of one
-    sub-block are overwritten by the next: read them before asking for it.
+    sub-blocks of span = _span() numbers.  Per f of terms, cum[i] is the
+    longdouble sum of f over the primes below primes[i], carried from sub-block
+    to sub-block, so cum[searchsorted(primes, y, "right")] has the bits of one
+    cumsum over all the primes <= y.  The sums of one sub-block are
+    overwritten by the next: read them before asking for it.
     """
     if top + 1 > PRIME_WALK_LIMIT:
         raise ResourceError(f"prime sieve of {top + 1} entries exceeds budget {PRIME_WALK_LIMIT}")
@@ -177,7 +181,7 @@ def prime_walk(top, *terms):
 
 
 def _sub_blocks(top, terms):
-    sub, carry = min(_SUB, _BLOCK), [0.0] * len(terms)
+    sub, carry = _span() // 2, [0.0] * len(terms)
     cums = pf = np.empty((len(terms), 0))  # one set of buffers, grown as a sub-block needs
     for lo in range(0, top + 1, 2 * _BLOCK):
         last = min(lo + 2 * _BLOCK - 1, top)

@@ -93,7 +93,7 @@ def prime_sums():
     def sums(ys, *terms):
         keys = np.floor(ys).astype(np.int64, copy=False).ravel()
         blocks = sieve.prime_walk(int(keys.max(initial=0)), *terms)
-        span = 2 * min(sieve._SUB, sieve._BLOCK)
+        span = sieve._span()
         order = np.argsort(keys)
         keys = keys[order]
         out = [np.zeros(keys.size) for _ in terms]  # a floor below 0 takes no prime

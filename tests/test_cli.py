@@ -200,6 +200,13 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: theta floor 100000000000000000000000 beyond int64\n"
 
+    def test_series_floor_past_prime_walk_is_resource_error(self, capsys):
+        # floors near 1e17 fit int64 but not the prime walk: refused before any
+        # array sized by the floors (a TiB of row counts) is made
+        code, out, err = run(["verify", "L", "--theta", "dense", "--t", "1e15", "--n", "100"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: prime sieve of 100000000000000001 entries exceeds budget 8589934592\n"
+
     def test_funceq_exact_pass(self, capsys):
         code, out, _ = run(
             ["verify", "funceq", "--theta", "dense", "--t", "2", "--x", "100000"],
