@@ -76,8 +76,12 @@ def _cmd_constants(args):
         f"lambda0 via integral = {fmt15(constants.lambda0_via_I(cert_full.location.real))}",
         f"lambda1 via residue = {fmt15(minus1.residue.real)}",
         f"lambda1 closed form = {fmt15(constants.lambda1_closed_form())}",
-        "pair zero = {} + {}i".format(fmt15(pair.location.real), fmt15(pair.location.imag)),
-        "pair residue = {} + {}i".format(fmt15(pair.residue.real), fmt15(pair.residue.imag)),
+        "pair zero = {} + {}i".format(
+            fmt15(pair.location.real), fmt15(pair.location.imag)
+        ),
+        "pair residue = {} + {}i".format(
+            fmt15(pair.residue.real), fmt15(pair.residue.imag)
+        ),
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -114,7 +118,10 @@ def _cmd_stats(args):
     else:
         st = theta.practical_stats(args.x)
     harm = fmt15(st.harmonic) if st.harmonic is not None else ""
-    _emit(f"x,count,tau_sum,harmonic\n{st.x},{st.count},{st.tau_sum},{harm}\n", args.out)
+    _emit(
+        f"x,count,tau_sum,harmonic\n{st.x},{st.count},{st.tau_sum},{harm}\n",
+        args.out,
+    )
     return 0
 
 
