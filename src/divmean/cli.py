@@ -300,6 +300,9 @@ def main(argv=None):
         return 2
     except BrokenPipeError:
         return 0
+    except OSError as e:  # an --out path that cannot be opened or written
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -177,11 +177,11 @@ def fit_nu_practical(xs):
     return [(s.x, s.tau_sum / (s.x * math.log(s.x) ** d)) for s in stats]
 
 
-def _series(rule, x, payload, tag, terms, finish):
-    """Terms and tags of B(x)'s rows.  Walk 1 counts the rows in each prime sub-block
-    (by theta floor); walk 2 stores each row's offset in its sub-block, payload(n, tau)
-    and tag[0](n, floor).  Per sub-block of the prime walk over terms, the rows read the
-    sums at their floors in offset order, and finish(payloads, *sums) gives the terms."""
+def _series(rule, x, payload, terms, finish, tag=None):
+    """Terms and tags (None without tag) of B(x)'s rows.  Walk 1 counts the rows in each
+    prime sub-block (by theta floor); walk 2 stores each row's offset in its sub-block,
+    payload(n, tau) and tag[0](n).  Per sub-block of the prime walk over terms, the rows
+    read the sums at their floors in offset order, and finish(payloads, *sums) gives the terms."""
     span, top, counts = sieve._span(), 0, np.zeros(1, dtype=np.int64)
     for _, _, tf in theta.row_windows(rule, x):  # walk 1
         top = max(top, int(tf.max()))
@@ -193,14 +193,16 @@ def _series(rule, x, payload, tag, terms, finish):
     blocks = sieve.prime_walk(top, *terms)
     ends = np.cumsum(counts)
     off, vals = np.empty(ends[-1], dtype=np.uint32), np.empty(ends[-1])
-    tags, cursor = np.empty(ends[-1], dtype=tag[1]), ends - counts
+    tags, cursor = tag and np.empty(ends[-1], dtype=tag[1]), ends - counts
     for n, tu, tf in theta.row_windows(rule, x):  # walk 2
         bk = tf // span
         order = np.argsort(bk.astype(np.min_scalar_type(len(counts))), kind="stable")  # radix
         n, tu, tf, bk = n[order], tu[order], tf[order], bk[order]
         pos = (cursor - np.searchsorted(bk, np.arange(len(cursor))))[bk] + np.arange(len(bk))
         cursor += np.bincount(bk, minlength=len(cursor))
-        off[pos], vals[pos], tags[pos] = tf - bk * span, payload(n, tu), tag[0](n, tf)
+        off[pos], vals[pos] = tf - bk * span, payload(n, tu)
+        if tag:
+            tags[pos] = tag[0](n)
     for lo, ps, cums in blocks:
         a, b = ends[lo // span] - counts[lo // span], ends[lo // span]
         key = np.sort(off[a:b].astype(np.uint64) << 32 | np.arange(b - a, dtype=np.uint64))
@@ -215,17 +217,15 @@ def L_partial_multi(rule, cutoffs):
 
     One series over B at the largest cutoff serves every cutoff: each term
     depends on n alone and fsum is correctly rounded, so each value has the
-    bits of its own walk.  The one exception is a custom rule with an infinite
-    theta, whose Mertens product is then taken up to the largest cutoff rather
-    than to N.
+    bits of its own walk.
     """
     if not cutoffs or min(cutoffs) < 1:
         raise RangeError("cutoffs must be positive integers")
     cuts = sorted(set(cutoffs))
     terms, tags = _series(
         rule, cuts[-1], lambda n, tau: tau.astype(np.float64) / n.astype(np.float64),
-        (lambda n, _: np.searchsorted(cuts, n), np.min_scalar_type(len(cuts))),  # first cut >= n
         (_log_mertens,), lambda v, logm: v * np.exp(logm) * np.exp(logm),
+        (lambda n: np.searchsorted(cuts, n), np.min_scalar_type(len(cuts))),  # first cut >= n
     )
     return [fsum(terms, lambda i, c, k=cuts.index(N): c[tags[i : i + len(c)] <= k]) for N in cutoffs]
 
@@ -243,11 +243,11 @@ def L_partial(rule, N):
 def c_theta_breakdown(rule, N):
     """Partial chain-density constant plus term-sign diagnostics.
 
-    Positivity of the summands (for theta(n) >= n) is an observation, not a
-    guarantee at finite cutoff, so violations are reported rather than raised.
+    Positivity of the summands (every rule has theta(n) > n) is an observation,
+    not a guarantee at finite cutoff, so violations are reported rather than raised.
     """
-    terms, big_theta = _series(
-        rule, N, lambda n, _: n.astype(np.float64), (lambda n, tf: tf >= n, bool),
+    terms, _ = _series(
+        rule, N, lambda n, _: n.astype(np.float64),
         (lambda p: np.log(p) / (p - 1.0), _log_mertens),
         lambda n, logp, logm: (logp - np.log(n)) * np.exp(logm) / n,
     )
@@ -255,7 +255,7 @@ def c_theta_breakdown(rule, N):
     return {
         "value": value,
         "terms": int(terms.size),
-        "negative_terms": int(np.count_nonzero((terms < -1e-12) & big_theta)),
+        "negative_terms": int(np.count_nonzero(terms < -1e-12)),
         "min_term": float(terms.min()),
     }
 

@@ -134,17 +134,19 @@ class PrimeList:
         return math.exp(math.fsum(terms))
 
 
-def odd_sieve(limit, bound, lo=0):
+def odd_sieve(limit, bound, lo=0, out=None):
     """Bool mask over the odd numbers: entry i stands for lo + 2*i + 1 <= limit, lo even.
 
     Each odd prime p <= bound strikes its odd multiples from p*p on, so what
     survives is 1, the odd primes, and the odd numbers with no prime factor
     <= bound.  No p above isqrt(limit) strikes, so bound is cut to it.  The
     block from 0 finds those primes in itself, a later block in the block from
-    0 to bound.
+    0 to bound.  Given out, of at least as many entries, the mask is its head, overwritten.
     """
     bound = min(bound, isqrt(limit))
-    odd = np.ones((limit - lo + 1) // 2, dtype=bool)
+    size = (limit - lo + 1) // 2
+    odd = np.empty(size, dtype=bool) if out is None else out[:size]
+    odd.fill(True)
     if lo:
         base = np.flatnonzero(odd_sieve(bound, isqrt(bound)))[1:].tolist()
     else:
@@ -183,9 +185,10 @@ def prime_walk(top, *terms):
 def _sub_blocks(top, terms):
     sub, carry = _span() // 2, [0.0] * len(terms)
     cums = pf = np.empty((len(terms), 0))  # one set of buffers, grown as a sub-block needs
+    mask = np.empty(min(_BLOCK, (top + 1) // 2), dtype=bool)  # refilled for every block
     for lo in range(0, top + 1, 2 * _BLOCK):
         last = min(lo + 2 * _BLOCK - 1, top)
-        odd = odd_sieve(last, isqrt(last), lo)
+        odd = odd_sieve(last, isqrt(last), lo, out=mask)
         for s in range(0, (last - lo) // 2 + 1, sub):  # an even top may start an empty one
             ps = np.flatnonzero(odd[s : s + sub]) * 2 + (lo + 2 * s + 1)
             if lo + s == 0:

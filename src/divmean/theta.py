@@ -2,8 +2,8 @@
 
 A rule theta admits n = p1^a1 ... pk^ak (ascending primes) into B when
 every prime satisfies p_i <= theta(prefix before p_i), with ties included.
-Dense-t uses theta(n) = n*t, practical uses theta(n) = sigma(n)+1, and
-custom rules carry an explicit admissible table.
+Dense-t uses theta(n) = n*t (t >= 2) and practical uses theta(n) = sigma(n)+1;
+both exceed n.
 
 Enumeration is chain extension: from n, append p^a for primes
 P+(n) < p <= theta(n) with n*p^a <= x; each element has exactly one chain,
@@ -30,12 +30,11 @@ from .errors import ConfigError, RangeError, ResourceError
 from .sieve import build_prime_list, divisors_sorted, odd_sieve
 
 ROUGH_LIMIT = 1 << 27
-# members materialised by generate_B (about 22 bytes each) and series rows (13
-# bytes each, beside one window of rows and one prime sub-block), so 2^26 keeps a
-# series near 0.9 GB and still admits B(1e9) = 64,782,731 for the practical rule
+# members materialised by generate_B (about 17 bytes each: enumerate practical at 1e8
+# peaks 117 MiB above x = 100) and series rows (13 bytes each, beside one window of rows and
+# one prime sub-block), so 2^26 keeps a series near 0.9 GB and admits practical B(1e9) = 64,782,731
 MEMBER_LIMIT = 1 << 26
 SUBSET_SUM_LIMIT = 10**6
-CUSTOM_ENUM_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -47,15 +46,14 @@ class SeqStats:
 
 
 class ThetaRule:
-    """Admissible theta function: theta(1) >= 2 and theta(n) >= P+(n)."""
+    """A theta rule, dense (theta(n) = n*t) or practical (theta(n) = sigma(n) + 1)."""
 
-    __slots__ = ("kind", "t_num", "t_den", "table", "name")
+    __slots__ = ("kind", "t_num", "t_den", "name")
 
-    def __init__(self, kind, t_num=0, t_den=1, table=None, name=""):
+    def __init__(self, kind, t_num=0, t_den=1, name=""):
         self.kind = kind
         self.t_num = t_num
         self.t_den = t_den
-        self.table = table
         self.name = name
 
     @classmethod
@@ -69,50 +67,13 @@ class ThetaRule:
     def practical(cls):
         return cls("practical", name="practical")
 
-    @classmethod
-    def custom(cls, mapping):
-        if 1 not in mapping:
-            raise ConfigError("custom theta map must define theta(1)")
-        if not _ge(mapping[1], 2):
-            raise ConfigError(f"theta(1) = {mapping[1]} violates theta(1) >= 2")
-        for n, th in mapping.items():
-            if n < 1:
-                raise ConfigError(f"custom theta key {n} is not a positive integer")
-            if n >= 2 and not _ge(th, _pplus_trial(n)):
-                raise ConfigError(f"theta({n}) = {th} below largest prime factor")
-        return cls("custom", table=dict(mapping), name="custom")
-
     def theta_floor(self, n, sigma_n=None):
-        """floor(theta(n)) as an exact integer (None for +inf)."""
+        """floor(theta(n)) as an exact integer."""
         if self.kind == "dense":
             return (n * self.t_num) // self.t_den
-        if self.kind == "practical":
-            if sigma_n is None:
-                raise ConfigError("practical theta needs sigma(n)")
-            return sigma_n + 1
-        th = self.table.get(n)
-        if th is None:
-            raise ConfigError(f"custom theta map has no value for n={n}")
-        if th == math.inf:
-            return None
-        return math.floor(th)
-
-
-def _ge(value, bound):
-    if value == math.inf:
-        return True
-    return Fraction(value) >= bound
-
-
-def _pplus_trial(n):
-    big = 1
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            big = d
-            n //= d
-        d += 1
-    return n if n > 1 else big
+        if sigma_n is None:
+            raise ConfigError("practical theta needs sigma(n)")
+        return sigma_n + 1
 
 
 def is_in_B(n, rule, table):
@@ -148,18 +109,13 @@ def is_practical_by_subset_sum(n, table):
 def _primes_for_rule(rule, x):
     if rule.kind == "dense":
         cap = isqrt((x * rule.t_num) // rule.t_den) + 1
-    elif rule.kind == "practical":
+    else:
         # caps are min(sigma(n)+1, x/n) <= sqrt((sigma(n)+1) x/n).  Robin (1984):
         # sigma(n)/n < e^gamma log log n + 0.6483/log log n for n >= 3, which is
         # below 6.991 for 4 <= n <= 1e20 (and sigma(n)/n <= 3/2 for n < 4).  So
         # (sigma(n)+1)/n < 7 and p^2 < 7x for every x <= 1e20.  _blocks raises
         # if a cap ever outruns the list.
         cap = isqrt(7 * x) + 1
-    else:
-        if x > CUSTOM_ENUM_LIMIT:
-            raise ResourceError(f"custom rules enumerate up to {CUSTOM_ENUM_LIMIT}")
-        finite = [v for v in rule.table.values() if v != math.inf]
-        cap = x if len(finite) < len(rule.table) else int(max(finite, default=2))
     cap = min(max(cap, 2), max(x, 2))
     return build_prime_list(cap)
 
@@ -195,9 +151,8 @@ def _blocks(rule, x, parr, limit):
     each with tau = 2*tau(n), and they are never pushed.  Smaller primes give
     the children n*p^a, one pass per exponent a, pushed in blocks.  A block
     yields the (5, k) int64 rows n, sigma(n), tau(n), lo, hi, and its k caps
-    apart, so that the records _chain keeps do not grow.  Pending blocks
-    are walked depth-first, so the stack holds the children of about one
-    block per depth rather than whole levels of the chain.
+    apart.  Pending blocks are walked depth-first, so the stack holds the
+    children of about one block per depth rather than whole levels of the chain.
     """
     stack = [np.array([[1], [1], [1], [0]], dtype=np.int64)]
     while stack:
@@ -224,29 +179,17 @@ def _blocks(rule, x, parr, limit):
             stack.extend(kids[:, i : i + _util.CHUNK] for i in range(0, kids.shape[1], _util.CHUNK))
 
 
-def _chain(rule, x):
-    """B(x)'s parent records as one (5, k) array, each one's leaf count, and all leaf primes."""
-    parr, blocks = _walk(rule, x)
-    recs = np.concatenate([rec for rec, _ in blocks], axis=1)
-    lens = recs[4] - recs[3]
-    members = recs.shape[1] + int(lens.sum())
-    if members > MEMBER_LIMIT:
-        raise ResourceError(f"{members} chain members exceed budget {MEMBER_LIMIT}")
-    return recs, lens, parr[_slices(recs[3], lens)]
-
-
 def _theta_floors(rule, x, ns, sgs, cut=False):
-    """floor(theta(n)) for arrays of members n with sigma(n); x stands for +inf.
+    """floor(theta(n)) for arrays of members n with sigma(n).
 
     With cut, a floor above x may read x, as the walk's caps min(theta(n), x//n)
     allow; without, floors past int64 come as Python integers in an object array.
     """
-    if rule.kind != "custom" and int(x) * rule.t_num < 1 << 63:
+    if int(x) * rule.t_num < 1 << 63:
         return rule.theta_floor(ns, sgs)
-    # custom tables, and n*t_num past int64 (a float t such as 2.1 has a
-    # 52-bit numerator): one Python integer per member
-    floors = map(rule.theta_floor, ns.tolist(), sgs.tolist())
-    floors = [x if f is None or (cut and f > x) else f for f in floors]
+    # n*t_num past int64 (a float t such as 2.1 has a 52-bit numerator): one
+    # Python integer per member
+    floors = [min(f, x) if cut else f for f in map(rule.theta_floor, ns.tolist(), sgs.tolist())]
     return np.array(floors, dtype=object if max(floors, default=0) >> 63 else np.int64)
 
 
@@ -263,9 +206,10 @@ def _tally(parr, blocks, cuts):
 
 
 def generate_B(rule, x):
-    """Sorted array of B(x)."""
-    (ns, *_), lens, p = _chain(rule, x)
-    return np.sort(np.concatenate([ns, np.repeat(ns, lens) * p]))
+    """Sorted array of B(x), the members of row_windows."""
+    members = np.concatenate([n for n, _, _ in row_windows(rule, x)])
+    members.sort()  # in place: the windows' memory may not have gone back to the system
+    return members
 
 
 def chain_stats_multi(rule, cutoffs):
@@ -313,23 +257,25 @@ def row_windows(rule, x):
 
 def _rough_blocks(x, y):
     """(i, mask) per block of sieve._BLOCK odd numbers up to x, mask[j] true when 2(i + j) + 1
-    has no prime factor <= y (n=1 included).  x and y are checked before any block."""
+    has no prime factor <= y (n=1 included).  x and y are checked before any block.  Every
+    block refills one buffer, so a mask is valid only until the next block is asked for."""
     if x < 1:
         raise RangeError(f"x must be >= 1, got {x}")
     if y < 2:
         raise RangeError(f"y must be >= 2, got {y}")
     if x > ROUGH_LIMIT:
         raise RangeError(f"x={x} above rough sieve limit {ROUGH_LIMIT}")
-    yf, span = min(math.floor(y), x), 2 * sieve._BLOCK
-    return ((lo // 2, _rough_block(lo, min(lo + span - 1, x), yf)) for lo in range(0, x + 1, span))
+    return _rough_walk(x, min(math.floor(y), x))
 
 
-def _rough_block(lo, last, yf):
+def _rough_walk(x, yf):
     # y >= 2 rules out every even n; the odd survivors of the primes up to
-    # min(y, sqrt(last)) are 1, the odd primes and the y-rough composites
-    odd = odd_sieve(last, yf, lo)
-    odd[max(1 - lo // 2, 0) : max((yf + 1) // 2 - lo // 2, 0)] = False  # 3, 5, ..., y
-    return odd
+    # min(y, sqrt of the block end) are 1, the odd primes and the y-rough composites
+    span, buf = 2 * sieve._BLOCK, np.empty(min(sieve._BLOCK, (x + 1) // 2), dtype=bool)
+    for lo in range(0, x + 1, span):
+        odd = odd_sieve(min(lo + span - 1, x), yf, lo, out=buf)
+        odd[max(1 - lo // 2, 0) : max((yf + 1) // 2 - lo // 2, 0)] = False  # 3, 5, ..., y
+        yield lo // 2, odd
 
 
 def rough_member_blocks(x, y):
@@ -394,8 +340,7 @@ def factor_nr(m, rule, table):
     sg = 1
     r = 1
     for i, (p, a) in enumerate(fac):
-        cap = rule.theta_floor(n, sg)
-        if cap is not None and p > cap:
+        if p > rule.theta_floor(n, sg):
             for q, b in fac[i:]:
                 r *= q**b
             break

@@ -502,6 +502,19 @@ class TestOutputFile:
         code2, out2, _ = run(["fn", "xi"], capsys)
         assert path.read_text() == out2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["stats", "practical", "--x", "100"], ["enumerate", "practical", "--x", "100"]],
+        ids=["stats", "enumerate"],  # stats writes through _emit, enumerate opens the file itself
+    )
+    def test_unopenable_out_is_usage_error(self, argv, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run([*argv, "--out", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"error: [Errno 2] No such file or directory: '{path}'"]
+
 
 class TestGolden:
     """Rebuilding a checked-in artifact must reproduce it byte for byte."""

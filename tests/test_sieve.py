@@ -218,6 +218,7 @@ def test_odd_sieve_matches_plain_sieve():
     # are the primes and the numbers with no odd prime factor <= bound
     blocks = [(0, 1), (0, 2), (0, 1000), (2, 99), (48, 49), (120, 169), (168, 289),
               (1000, 2209), (9408, 10201), (10**5, 10**5 + 5001), (999_000, 10**6)]
+    buf = np.zeros(2501, dtype=bool)  # one buffer, refilled by every block as the walks do
     for lo, limit in blocks:
         n = np.arange(lo + 1, limit + 1, 2)
         r = math.isqrt(limit)
@@ -225,6 +226,8 @@ def test_odd_sieve_matches_plain_sieve():
             small = ref[(ref > 2) & (ref <= bound)]
             want = np.isin(n, ref) | np.all(n[:, None] % small != 0, axis=1)
             assert np.array_equal(odd_sieve(limit, bound, lo), want), (lo, limit, bound)
+            got = odd_sieve(limit, bound, lo, out=buf)
+            assert np.shares_memory(got, buf) and np.array_equal(got, want), (lo, limit, bound)
 
 
 def test_sorted_pi_lookup_matches_unsorted(primes_1e5, rng, prime_sums):

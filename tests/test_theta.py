@@ -15,16 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divmean import _util
-from divmean.errors import ConfigError, RangeError, ResourceError
+from divmean.errors import RangeError, ResourceError
 from divmean.sieve import build_prime_list, build_spf_table, sigma, tau
 from divmean.theta import (
     SeqStats,
     ThetaRule,
     _blocks,
-    _chain,
     _isqrt,
     _primes_for_rule,
     _rough_sums,
+    _walk,
     b_rows,
     chain_stats_multi,
     dense_stats,
@@ -45,6 +45,10 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 B_PRACTICAL_30 = [1, 2, 4, 6, 8, 12, 16, 18, 20, 24, 28, 30]
 B_DENSE2_20 = [1, 2, 4, 6, 8, 12, 16, 18, 20]
+
+
+def _records(rule, x):  # B(x)'s parent records (n, sigma, tau, lo, hi) as one (5, k) array
+    return np.concatenate([rec for rec, _ in _walk(rule, x)[1]], axis=1)
 
 
 class TestMembership:
@@ -122,7 +126,7 @@ class TestGenerate:
             assert got == want
 
     def test_sigma_tau_carried_exactly(self, spf_1e5):
-        recs = _chain(ThetaRule.practical(), 3000)[0]
+        recs = _records(ThetaRule.practical(), 3000)
         for n, sg, tu, _lo, _hi in recs.T.tolist():
             assert sg == sigma(n, spf_1e5)
             assert tu == tau(n, spf_1e5)
@@ -428,7 +432,7 @@ class TestCountingIdentity:
         # a float t takes the one-Python-call-per-member floor path; the inner
         # sums read the walk's caps, so theta is evaluated once per parent
         rule, x = ThetaRule.dense(2.1), 10**5
-        parents = _chain(rule, x)[0][0].tolist()
+        parents = _records(rule, x)[0].tolist()
         calls, floor = [], ThetaRule.theta_floor
         monkeypatch.setattr(
             ThetaRule, "theta_floor", lambda self, n, sg=None: calls.append(n) or floor(self, n, sg)
@@ -480,74 +484,6 @@ def _reference_funceq(x, rule, table):
     }
 
 
-class TestCustomRules:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ThetaRule.custom({2: 3})  # theta(1) missing
-        with pytest.raises(ConfigError):
-            ThetaRule.custom({1: 1, 2: 3})  # theta(1) < 2
-        with pytest.raises(ConfigError):
-            ThetaRule.custom({1: 2, 12: 2})  # theta(12) below P+(12) = 3
-
-    def test_missing_value_during_walk(self):
-        rule = ThetaRule.custom({1: 10})
-        with pytest.raises(ConfigError):
-            generate_B(rule, 100)
-
-    def test_leaf_values_needed_only_for_rows(self, spf_1e5):
-        # leaves are counted, never expanded, so only b_rows reads their theta
-        x = 1000
-        full = {n: sigma(n, spf_1e5) + 1 for n in range(1, x + 1)}
-        ns = _chain(ThetaRule.custom(full), x)[0][0]
-        parents_only = ThetaRule.custom({n: full[n] for n in ns.tolist()})
-        assert len(ns) < len(generate_B(ThetaRule.practical(), x))
-        assert np.array_equal(
-            generate_B(parents_only, x), generate_B(ThetaRule.practical(), x)
-        )
-        with pytest.raises(ConfigError):
-            b_rows(parents_only, x)
-
-    def test_infinite_theta_gives_full_interval(self):
-        full = {n: math.inf for n in range(1, 61)}
-        rule = ThetaRule.custom(full)
-        assert generate_B(rule, 60).tolist() == list(range(1, 61))
-
-    def test_monotone_maps_nest(self):
-        x = 60
-        lo = {1: 2, **{n: _pplus(n) + 2 for n in range(2, x + 1)}}
-        hi = {1: 4, **{n: 2 * n for n in range(2, x + 1)}}
-        b_lo = set(generate_B(ThetaRule.custom(lo), x).tolist())
-        b_hi = set(generate_B(ThetaRule.custom(hi), x).tolist())
-        assert b_lo <= b_hi
-
-    @settings(max_examples=40)
-    @given(
-        bumps=st.lists(st.integers(min_value=0, max_value=8), min_size=40, max_size=40),
-        extra=st.lists(st.integers(min_value=0, max_value=8), min_size=40, max_size=40),
-    )
-    def test_monotone_maps_nest_random(self, bumps, extra):
-        x = 40
-        lo = {1: 2 + bumps[0]}
-        hi = {1: lo[1] + extra[0]}
-        for n in range(2, x + 1):
-            lo[n] = _pplus(n) + bumps[n - 1]
-            hi[n] = lo[n] + extra[n - 1]
-        b_lo = set(generate_B(ThetaRule.custom(lo), x).tolist())
-        b_hi = set(generate_B(ThetaRule.custom(hi), x).tolist())
-        assert b_lo <= b_hi
-
-
-def _pplus(n):
-    big = 1
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            big = d
-            n //= d
-        d += 1
-    return n if n > 1 else big
-
-
 class TestRows:
     def test_rows_sorted_and_consistent(self, spf_1e5):
         rule = ThetaRule.practical()
@@ -571,8 +507,7 @@ def _reference_walk(rule, x):
         n, sg, tu, i0 = stack.pop()
         yield n, sg, tu
         lim = x // n
-        cap = rule.theta_floor(n, sg)
-        cap = lim if cap is None else min(cap, lim)
+        cap = min(rule.theta_floor(n, sg), lim)
         for i in range(i0, len(plist)):
             p = plist[i]
             if p > cap:
@@ -643,9 +578,7 @@ def _reference_parents(rule, x, plist, limit):
     while stack:
         n, sg, tu, i0 = stack.pop()
         lim = x // n
-        cap = rule.theta_floor(n, sg)
-        if cap is None or cap > lim:
-            cap = lim
+        cap = min(rule.theta_floor(n, sg), lim)
         if cap > limit:
             raise RangeError(f"chain cap {cap} at n={n} beyond prime list limit {limit}")
         hi = bisect_right(plist, cap, i0)
@@ -663,48 +596,31 @@ def _reference_parents(rule, x, plist, limit):
                 a += 1
 
 
-class _HalfSigma:
-    """theta(n) = (n + sigma(n))//2 + 1, at least n: neither dense nor practical."""
-
-    @staticmethod
-    def theta_floor(n, sg):
-        return (n + sg) // 2 + 1
-
-
-def _custom_rule(x):
-    """_HalfSigma as a custom table on the parents of its walk to x.
-
-    Only parents read theta, and a table over every n <= x would be checked
-    by trial division, entry by entry.
-    """
-    pl = build_prime_list(max(x, 2))
-    parents = _reference_parents(_HalfSigma, x, pl.primes.tolist(), pl.limit)
-    return ThetaRule.custom({n: _HalfSigma.theta_floor(n, sg) for n, sg, *_ in parents})
-
-
 class TestBlockWalk:
     """The numpy block walk against the scalar reference walk, record for record."""
 
     @pytest.mark.parametrize("x", [1, 2, 10**3, 10**4, 10**5, 10**6])
-    @pytest.mark.parametrize("name", [*sorted(GATE_RULES), "custom"])
+    @pytest.mark.parametrize("name", sorted(GATE_RULES))
     def test_records_match_reference_parents(self, name, x):
-        rule = _custom_rule(x) if name == "custom" else GATE_RULES[name]()
+        rule = GATE_RULES[name]()
         pl = _primes_for_rule(rule, x)
         want = sorted(_reference_parents(rule, x, pl.primes.tolist(), pl.limit))
-        assert sorted(map(tuple, _chain(rule, x)[0].T.tolist())) == want
+        assert sorted(map(tuple, _records(rule, x).T.tolist())) == want
 
     @pytest.mark.parametrize("name", ["practical", "dense-2", "dense-2.1"])
     def test_small_blocks_give_the_same_records(self, name, monkeypatch):
-        # blocks of 7 parents: every level of children is cut into many blocks
+        # blocks of 7 parents: every level of children is cut into many blocks,
+        # and windows of 7 members split one parent's leaf slice across windows
         rule, x, cuts = GATE_RULES[name](), 10**5, [10, 999, 10**5]
-        want = sorted(map(tuple, _chain(rule, x)[0].T.tolist()))
-        want_stats = chain_stats_multi(rule, cuts)
+        want = sorted(map(tuple, _records(rule, x).T.tolist()))
+        want_stats, want_B = chain_stats_multi(rule, cuts), generate_B(rule, x)
         monkeypatch.setattr("divmean._util.CHUNK", 7)
         pl = _primes_for_rule(rule, x)
         blocks = [rec for rec, _ in _blocks(rule, x, pl.primes, pl.limit)]
         assert max(b.shape[1] for b in blocks) == 7
         assert sorted(map(tuple, np.concatenate(blocks, axis=1).T.tolist())) == want
         assert chain_stats_multi(rule, cuts) == want_stats
+        assert np.array_equal(generate_B(rule, x), want_B)
 
     @pytest.mark.parametrize("x", [10**8, 10**9])
     def test_practical_rows_of_the_repository(self, x):
