@@ -5,7 +5,7 @@ analytic constants that govern the growth rates.
 The submodules sieve, theta, funcs, constants and report are registered
 lazily: each one's body runs on the first read of one of its attributes, so
 a command runs only the modules it calls into, and `import divmean` loads no
-numpy.  Import names from their submodule: `from divmean.sieve import tau`.
+numpy.  Names come from their submodule: `from divmean.theta import ThetaRule`.
 """
 
 import importlib.util

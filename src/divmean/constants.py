@@ -143,14 +143,6 @@ def _evaluator_at(V, panel_width):
     return GEvaluator(V=V, panel_width=panel_width)
 
 
-def g_eval(s, V=6.0):
-    return _evaluator(V=V).g(s)
-
-
-def g_prime_eval(s, V=6.0):
-    return _evaluator(V=V).g_prime(s)
-
-
 def _bisect_real_root(fn, a, b):
     fa, fb = fn(a), fn(b)
     if fa == 0.0:

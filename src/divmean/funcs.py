@@ -248,7 +248,6 @@ def build_ratio_fn():
 
 
 _GL12 = np.polynomial.legendre.leggauss(12)
-_GL20 = np.polynomial.legendre.leggauss(20)
 _EDGE_EPS = 1e-12  # panel edges closer than this are merged
 
 
@@ -378,26 +377,6 @@ def build_growth_fn(ratio, rows=None, lam=None):
     return fn
 
 
-def ratio_via_convolution(u, buchstab):
-    """Independent route: ratio(u) = 2*w(u) + (w*w)(u), quadrature only.
-
-    The self-convolution is supported on [1, u-1]; panels split wherever
-    either factor hits an integer argument.
-    """
-    u = float(u)
-    if u < 1.0:
-        return 0.0
-    two_w = 2.0 * buchstab(u)
-    if u <= 2.0:
-        return two_w
-    ms = np.arange(2.0, int(u) + 1.0)  # kinks of w(t) and of w(u-t)
-    nodes, weights, _ = panel_rows(1.0, u - 1.0, np.concatenate([ms, u - ms]), _GL20, 0.5)
-    conv = float(
-        _quad_sum(weights, buchstab.eval_many(nodes) * buchstab.eval_many(u - nodes))
-    )
-    return two_w + conv
-
-
 class FnBundle:
     """The tabulated functions of one process, each built when first read."""
 
@@ -455,15 +434,6 @@ class FnBundle:
         us = np.atleast_1d(np.asarray(u, dtype=float))
         out = self.buchstab_cum.eval_many(us) - us * EXP_NEG_GAMMA
         return float(out[0]) if np.ndim(u) == 0 else out
-
-    def buchstab_residual(self, u):
-        """u*w(u) - 1 - int_1^{u-1} w; zero on the true solution."""
-        u = float(u)
-        return u * self.buchstab(u) - 1.0 - self.buchstab_cum(u - 1.0)
-
-    def ratio_residual(self, u):
-        u = float(u)
-        return u * self.ratio(u) - 2.0 - 2.0 * self.ratio_cum(u - 1.0)
 
 
 @cache

@@ -17,7 +17,7 @@ import numpy as np
 # the lazy modules, read at call time: a command runs only the bodies it calls into
 from . import constants, funcs, sieve, theta
 from ._util import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, fmt15, fsum
-from .errors import ConfigError, RangeError
+from .errors import RangeError
 
 DEFAULT_SLACK = 5.0
 GRID_POINT_LIMIT = 10**6  # rows of one tabulated function or figure
@@ -152,9 +152,12 @@ def compare_rough(x, y):
 
 def compare_dense(x, t):
     """Rows for the dense tau sum against its growth and order estimates."""
+    try:  # before the walk, once dense_stats would accept t and x
+        lt = math.log(t) if t >= 2 and x >= 1 else None
+    except OverflowError:
+        raise RangeError("t beyond float range, where log t is taken") from None
     st = theta.dense_stats(x, t)
     b = funcs.get_bundle()
-    lt = math.log(t)
     v = math.log(x) / lt
     lam = b.growth(v)
     d = growth_constants()[0]
@@ -183,7 +186,8 @@ def _series(rule, x, payload, terms, finish, tag=None):
     payload(n, tau) and tag[0](n).  Per sub-block of the prime walk over terms, the rows
     read the sums at their floors in offset order, and finish(payloads, *sums) gives the terms."""
     span, top, counts = sieve._span(), 0, np.zeros(1, dtype=np.int64)
-    for _, _, tf in theta.row_windows(rule, x):  # walk 1
+    for n, _, sg in theta.row_windows(rule, x):  # walk 1
+        tf = theta._theta_floors(rule, x, n, sg)
         top = max(top, int(tf.max()))
         if top < sieve.PRIME_WALK_LIMIT:  # else prime_walk refuses; walk 1 only names the top
             c = np.bincount(tf // span, minlength=counts.size)
@@ -194,7 +198,8 @@ def _series(rule, x, payload, terms, finish, tag=None):
     ends = np.cumsum(counts)
     off, vals = np.empty(ends[-1], dtype=np.uint32), np.empty(ends[-1])
     tags, cursor = tag and np.empty(ends[-1], dtype=tag[1]), ends - counts
-    for n, tu, tf in theta.row_windows(rule, x):  # walk 2
+    for n, tu, sg in theta.row_windows(rule, x):  # walk 2
+        tf = theta._theta_floors(rule, x, n, sg)
         bk = tf // span
         order = np.argsort(bk.astype(np.min_scalar_type(len(counts))), kind="stable")  # radix
         n, tu, tf, bk = n[order], tu[order], tf[order], bk[order]
@@ -258,32 +263,6 @@ def c_theta_breakdown(rule, N):
         "negative_terms": int(np.count_nonzero(terms < -1e-12)),
         "min_term": float(terms.min()),
     }
-
-
-def c_theta_partial(rule, N):
-    return c_theta_breakdown(rule, N)["value"]
-
-
-def E_of_x(f_spec, x):
-    """Closed-form relative-error scale for admissible growth-factor shapes.
-
-    f_spec is ("log-power", A) for f(y) = (log y)^A or ("constant", c).
-    Shapes whose factor decreases, or whose log-ratio to log y fails to
-    decrease eventually, are outside what the count asymptotic admits.
-    """
-    if x < 3.0:
-        raise RangeError(f"x must be >= 3, got {x}")
-    kind, a = f_spec
-    lx = math.log(x)
-    if kind == "log-power":
-        if a < 0:
-            raise ConfigError("decreasing growth factor is not admissible")
-        return a * (1.0 + math.log(lx)) / lx
-    if kind == "constant":
-        if a < 1:
-            raise ConfigError("constant factor below 1 is not admissible")
-        return math.log(a) / lx
-    raise ConfigError(f"unknown growth-factor shape {kind!r}")
 
 
 def _grid(lo, hi, step):

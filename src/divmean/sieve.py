@@ -1,10 +1,8 @@
 """One odd-only sieve, the prime list, and the factorisation table.
 
 Chain enumeration, rough-number statistics and Mertens products sit on
-odd_sieve; the smallest-prime-factor table backs only the factorisation
-oracles (tau, sigma, divisor lists, membership checks).  Counts and
-divisor sums are accumulated in Python integers, so overflow is
-impossible by construction.
+odd_sieve, the segmented ones on odd_blocks.  No command builds the
+smallest-prime-factor table; the tests' factorisation oracles read it.
 """
 
 import math
@@ -38,27 +36,6 @@ class SpfTable:
         self.limit = limit
         self.spf = spf
 
-    def check_range(self, n):
-        if not (1 <= n <= self.limit):
-            raise RangeError(f"n={n} outside table range [1, {self.limit}]")
-
-    def smallest_prime_factor(self, n):
-        self.check_range(n)
-        return int(self.spf[n]) if n > 1 else 0
-
-    def factorize(self, n):
-        """Ascending [(p, multiplicity)] pairs."""
-        self.check_range(n)
-        out = []
-        while n > 1:
-            p = int(self.spf[n])
-            a = 0
-            while n % p == 0:
-                n //= p
-                a += 1
-            out.append((p, a))
-        return out
-
 
 def _check_sieve(limit, what):
     """Refuse, before any allocation, a limit below 2 or a sieve of limit + 1 entries
@@ -82,34 +59,6 @@ def build_spf_table(limit):
     rest = np.flatnonzero(spf[3::2] == 0) * 2 + 3
     spf[rest] = rest.astype(np.int32)
     return SpfTable(limit, spf)
-
-
-def tau(n, table):
-    """Number of divisors."""
-    t = 1
-    for _p, a in table.factorize(n):
-        t *= a + 1
-    return t
-
-
-def sigma(n, table):
-    """Sum of divisors."""
-    s = 1
-    for p, a in table.factorize(n):
-        s *= (p ** (a + 1) - 1) // (p - 1)
-    return s
-
-
-def divisors_sorted(n, table):
-    divs = [1]
-    for p, a in table.factorize(n):
-        pk = 1
-        base = list(divs)
-        for _ in range(a):
-            pk *= p
-            divs.extend(d * pk for d in base)
-    divs.sort()
-    return divs
 
 
 class PrimeList:
@@ -182,14 +131,19 @@ def prime_walk(top, *terms):
     return _sub_blocks(top, terms)
 
 
+def odd_blocks(top, bound):
+    """(lo, odd_sieve(last, bound, lo)) per block of _BLOCK odd numbers up to top, lo = 0,
+    2*_BLOCK, ...  Every block refills one buffer, so a mask is valid only until the next."""
+    buf = np.empty(min(_BLOCK, (top + 1) // 2), dtype=bool)
+    for lo in range(0, top + 1, 2 * _BLOCK):
+        yield lo, odd_sieve(min(lo + 2 * _BLOCK - 1, top), bound, lo, out=buf)
+
+
 def _sub_blocks(top, terms):
     sub, carry = _span() // 2, [0.0] * len(terms)
     cums = pf = np.empty((len(terms), 0))  # one set of buffers, grown as a sub-block needs
-    mask = np.empty(min(_BLOCK, (top + 1) // 2), dtype=bool)  # refilled for every block
-    for lo in range(0, top + 1, 2 * _BLOCK):
-        last = min(lo + 2 * _BLOCK - 1, top)
-        odd = odd_sieve(last, isqrt(last), lo, out=mask)
-        for s in range(0, (last - lo) // 2 + 1, sub):  # an even top may start an empty one
+    for lo, odd in odd_blocks(top, isqrt(top)):  # odd_sieve cuts it to each block's root
+        for s in range(0, min(_BLOCK, (top - lo) // 2 + 1), sub):  # an even top adds an empty one
             ps = np.flatnonzero(odd[s : s + sub]) * 2 + (lo + 2 * s + 1)
             if lo + s == 0:
                 ps[:1] = 2  # 1 survives the sieve; 2 takes its place

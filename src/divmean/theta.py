@@ -26,15 +26,14 @@ from math import isqrt
 import numpy as np
 
 from . import _util, sieve
-from .errors import ConfigError, RangeError, ResourceError
-from .sieve import build_prime_list, divisors_sorted, odd_sieve
+from .errors import RangeError, ResourceError
+from .sieve import build_prime_list
 
 ROUGH_LIMIT = 1 << 27
 # members materialised by generate_B (about 17 bytes each: enumerate practical at 1e8
 # peaks 117 MiB above x = 100) and series rows (13 bytes each, beside one window of rows and
 # one prime sub-block), so 2^26 keeps a series near 0.9 GB and admits practical B(1e9) = 64,782,731
 MEMBER_LIMIT = 1 << 26
-SUBSET_SUM_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -67,43 +66,11 @@ class ThetaRule:
     def practical(cls):
         return cls("practical", name="practical")
 
-    def theta_floor(self, n, sigma_n=None):
-        """floor(theta(n)) as an exact integer."""
+    def theta_floor(self, n, sigma_n):
+        """floor(theta(n)) as an exact integer; sigma_n = sigma(n), read by practical only."""
         if self.kind == "dense":
             return (n * self.t_num) // self.t_den
-        if sigma_n is None:
-            raise ConfigError("practical theta needs sigma(n)")
         return sigma_n + 1
-
-
-def is_in_B(n, rule, table):
-    return factor_nr(n, rule, table)[1] == 1
-
-
-def is_t_dense_by_divisors(n, t, table):
-    """Oracle: consecutive-divisor ratios <= t, checked in exact rationals."""
-    if Fraction(t) < 1:
-        raise RangeError(f"t must be >= 1, got {t}")
-    table.check_range(n)
-    num, den = Fraction(t).numerator, Fraction(t).denominator
-    divs = divisors_sorted(n, table)
-    return all(b * den <= a * num for a, b in zip(divs, divs[1:]))
-
-
-def is_practical_by_subset_sum(n, table):
-    """Oracle: every 1 <= m <= n is a sum of distinct divisors of n."""
-    if n > SUBSET_SUM_LIMIT:
-        raise ResourceError(f"subset-sum oracle capped at {SUBSET_SUM_LIMIT}")
-    table.check_range(n)
-    if n == 1:
-        return True
-    full = (1 << (n + 1)) - 1
-    bits = 1
-    for d in divisors_sorted(n, table):
-        bits |= (bits << d) & full
-        if bits == full:
-            return True
-    return bits == full
 
 
 def _primes_for_rule(rule, x):
@@ -222,7 +189,8 @@ def chain_stats_multi(rule, cutoffs):
 
 def b_rows(rule, x):
     """Arrays (n, tau, theta_floor) over B(x), ascending in n."""
-    ns, taus, tf = map(np.concatenate, zip(*row_windows(rule, x)))
+    ns, taus, sgs = map(np.concatenate, zip(*row_windows(rule, x)))
+    tf = _theta_floors(rule, x, ns, sgs)
     if tf.dtype == object:
         raise RangeError(f"theta floor {tf.max()} beyond int64")
     order = np.argsort(ns)  # members are distinct, so any sort gives this order
@@ -230,11 +198,11 @@ def b_rows(rule, x):
 
 
 def row_windows(rule, x):
-    """B(x)'s rows (n, tau(n), floor(theta(n))) in windows of at most _util.CHUNK, unsorted.
+    """B(x)'s rows (n, tau(n), sigma(n)) in windows of at most _util.CHUNK, unsorted.
 
     Each walk block gives its parents, then its leaves, a window of which may
     split one parent's slice.  More than MEMBER_LIMIT members are refused as soon
-    as the walk passes it.  Floors past int64 come as Python integers.
+    as the walk passes it.  A reader that needs floor(theta(n)) takes _theta_floors.
     """
     parr, blocks = _walk(rule, x)
     members = 0
@@ -243,7 +211,7 @@ def row_windows(rule, x):
         members += len(ns) + int(ends[-1])
         if members > MEMBER_LIMIT:
             raise ResourceError(f"{members} chain members exceed budget {MEMBER_LIMIT}")
-        yield ns, tus, _theta_floors(rule, x, ns, sgs)
+        yield ns, tus, sgs
         for s in range(0, int(ends[-1]), _util.CHUNK):
             e = min(s + _util.CHUNK, int(ends[-1]))
             a, b = np.searchsorted(ends, [s, e - 1], side="right") + [0, 1]  # leaves s..e-1
@@ -252,7 +220,8 @@ def row_windows(rule, x):
             p = parr[_slices(hi[a:b] - ends[a:b] + first, cnt)]
             n, sg, tu = (np.repeat(v[a:b], cnt) for v in (ns, sgs, tus))
             n *= p
-            yield n, 2 * tu, _theta_floors(rule, x, n, sg * (p + 1))
+            sg *= p + 1
+            yield n, 2 * tu, sg
 
 
 def _rough_blocks(x, y):
@@ -271,9 +240,7 @@ def _rough_blocks(x, y):
 def _rough_walk(x, yf):
     # y >= 2 rules out every even n; the odd survivors of the primes up to
     # min(y, sqrt of the block end) are 1, the odd primes and the y-rough composites
-    span, buf = 2 * sieve._BLOCK, np.empty(min(sieve._BLOCK, (x + 1) // 2), dtype=bool)
-    for lo in range(0, x + 1, span):
-        odd = odd_sieve(min(lo + span - 1, x), yf, lo, out=buf)
+    for lo, odd in sieve.odd_blocks(x, yf):
         odd[max(1 - lo // 2, 0) : max((yf + 1) // 2 - lo // 2, 0)] = False  # 3, 5, ..., y
         yield lo // 2, odd
 
@@ -330,24 +297,6 @@ def dense_stats(x, t):
 
 def practical_stats(x):
     return _tally(*_walk(ThetaRule.practical(), x), [x])[0]
-
-
-def factor_nr(m, rule, table):
-    """Unique split m = n*r with n in B and (r = 1 or P-(r) > theta(n))."""
-    table.check_range(m)
-    fac = table.factorize(m)
-    n = 1
-    sg = 1
-    r = 1
-    for i, (p, a) in enumerate(fac):
-        if p > rule.theta_floor(n, sg):
-            for q, b in fac[i:]:
-                r *= q**b
-            break
-        pk = p**a
-        n *= pk
-        sg *= (pk * p - 1) // (p - 1)
-    return n, r
 
 
 def write_b_stream(rule, x, fh, threads=1):

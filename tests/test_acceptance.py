@@ -26,9 +26,9 @@ from divmean.constants import (
     lambda1_closed_form,
     refine_zero,
 )
-from divmean.funcs import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, get_bundle, ratio_via_convolution
+from divmean.funcs import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, get_bundle
 from divmean.report import (
-    c_theta_partial,
+    c_theta_breakdown,
     compare_dense,
     compare_rough,
     emit_figure_data,
@@ -42,12 +42,10 @@ from divmean.theta import (
     ThetaRule,
     chain_stats_multi,
     generate_B,
-    is_in_B,
-    is_practical_by_subset_sum,
-    is_t_dense_by_divisors,
     verify_funceq,
     write_b_stream,
 )
+from oracles.checks import is_practical_by_subset_sum, is_t_dense_by_divisors, ratio_via_convolution
 
 GOLDEN = Path(__file__).parent / "golden"
 ELAPSED = {}
@@ -280,7 +278,7 @@ def test_criterion_5d_practical_growth_ratio():
 
 def test_criterion_5e_density_constant_cross_check():
     t0 = time.monotonic()
-    partial = c_theta_partial(ThetaRule.practical(), 10**7)
+    partial = c_theta_breakdown(ThetaRule.practical(), 10**7)["value"]
     count8 = chain_stats_multi(ThetaRule.practical(), [10**8])[0].count
     scaled = count8 * math.log(10**8) / 10**8
     gap = abs(partial - scaled)

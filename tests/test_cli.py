@@ -207,6 +207,20 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: prime sieve of 100000000000000001 entries exceeds budget 8589934592\n"
 
+    def test_dense_t_past_float_range_refused_before_walk(self, capsys, monkeypatch):
+        # log t is a float: a t past float range is refused before any walk,
+        # while stats and funceq, exact integer paths, take the same t
+        walks = []
+        monkeypatch.setattr(theta, "_walk", lambda *a: walks.append(a))
+        code, out, err = run(["verify", "dense", "--x", "100", "--t", "1e400"], capsys)
+        assert (code, out, walks) == (2, "", [])
+        assert err == "error: t beyond float range, where log t is taken\n"
+        monkeypatch.undo()
+        _, out, _ = run(["stats", "dense", "--x", "100", "--t", "1e400"], capsys)
+        assert out.splitlines()[1] == "100,100,482,"
+        code, out, _ = run(["verify", "funceq", "--theta", "dense", "--t", "1e400", "--x", "100"], capsys)
+        assert (code, out.splitlines()[-1]) == (0, "PASS")
+
     def test_funceq_exact_pass(self, capsys):
         code, out, _ = run(
             ["verify", "funceq", "--theta", "dense", "--t", "2", "--x", "100000"],

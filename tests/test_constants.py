@@ -21,30 +21,30 @@ def test_euler_gamma_literal_is_numpys():
 
 class TestGEvaluator:
     def test_known_zeros_nearly_vanish(self):
-        assert abs(C.g_eval(-1.0, V=6.0)) < 1e-4
-        assert abs(C.g_eval(0.7136125, V=6.0)) < 1e-4
+        assert abs(C.GEvaluator(6.0).g(-1.0)) < 1e-4
+        assert abs(C.GEvaluator(6.0).g(0.7136125)) < 1e-4
 
     def test_blows_down_near_pole(self):
-        assert C.g_eval(0.99) < -20.0
+        assert C.GEvaluator().g(0.99) < -20.0
 
     def test_poles_raise(self):
         with pytest.raises(PoleError):
-            C.g_eval(0.0)
+            C.GEvaluator().g(0.0)
         with pytest.raises(PoleError):
-            C.g_eval(1.0)
+            C.GEvaluator().g(1.0)
         with pytest.raises(PoleError):
-            C.g_prime_eval(1.0)
+            C.GEvaluator().g_prime(1.0)
 
     def test_truncation_domain(self):
         with pytest.raises(RangeError):
-            C.g_eval(0.5, V=4.9)
+            C.GEvaluator(4.9).g(0.5)
         with pytest.raises(RangeError):
-            C.g_eval(0.5, V=8.1)
-        C.g_eval(0.5, V=8.0)  # boundary allowed
+            C.GEvaluator(8.1).g(0.5)
+        C.GEvaluator(8.0).g(0.5)  # boundary allowed
 
     def test_real_in_real_out(self):
-        assert isinstance(C.g_eval(0.5), float)
-        assert isinstance(C.g_eval(0.5 + 0.5j), complex)
+        assert isinstance(C.GEvaluator().g(0.5), float)
+        assert isinstance(C.GEvaluator().g(0.5 + 0.5j), complex)
 
     @pytest.mark.parametrize("V", [5.0, 6.0, 7.0, 8.0])
     def test_tail_bound_certified_small(self, V):
@@ -268,7 +268,7 @@ class TestDivisorTransform:
 
     def test_gamma_bridge_at_2(self):
         lhs = 3.0 * C.Q_eval(2.0)
-        rhs = 2.0 * math.gamma(3.0) * C.g_eval(2.0, V=8.0)
+        rhs = 2.0 * math.gamma(3.0) * C.GEvaluator(8.0).g(2.0)
         assert abs(lhs - rhs) <= 1e-6
 
 

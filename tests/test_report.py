@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from divmean import report as R
-from divmean.errors import ConfigError, RangeError
+from divmean.errors import RangeError
 from divmean.funcs import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, get_bundle
 from divmean.sieve import build_prime_list
 from divmean.theta import ThetaRule, b_rows, chain_stats_multi
@@ -207,7 +207,7 @@ class TestCTheta:
             assert info["min_term"] > 0.0
 
     def test_practical_value_near_limit(self):
-        assert 1.2 < R.c_theta_partial(ThetaRule.practical(), 10**5) < 1.4
+        assert 1.2 < R.c_theta_breakdown(ThetaRule.practical(), 10**5)["value"] < 1.4
 
 
 class TestSeriesEngine:
@@ -278,32 +278,6 @@ class TestSeriesEngine:
         finally:
             tracemalloc.stop()
         assert peak < 30 * rows
-
-
-class TestEofX:
-    def test_log_power_scale(self):
-        for a in (1.0, 2.0, 7.0):
-            for x in (10**4, 10**8):
-                e = R.E_of_x(("log-power", a), x)
-                base = a * math.log(math.log(x)) / math.log(x)
-                assert base <= e <= 2.0 * base
-
-    def test_decreasing_in_x(self):
-        assert R.E_of_x(("log-power", 2.0), 10**8) < R.E_of_x(("log-power", 2.0), 10**6)
-
-    def test_trivial_shapes(self):
-        assert R.E_of_x(("log-power", 0.0), 100) == 0.0
-        assert R.E_of_x(("constant", 1.0), 100) == 0.0
-
-    def test_inadmissible_shapes(self):
-        with pytest.raises(ConfigError):
-            R.E_of_x(("log-power", -1.0), 100)
-        with pytest.raises(ConfigError):
-            R.E_of_x(("constant", 0.5), 100)
-        with pytest.raises(ConfigError):
-            R.E_of_x(("powerlaw", 0.1), 100)
-        with pytest.raises(RangeError):
-            R.E_of_x(("log-power", 1.0), 2)
 
 
 class TestFigures:

@@ -12,12 +12,10 @@ from divmean.sieve import (
     PRIME_WALK_LIMIT,
     build_prime_list,
     build_spf_table,
-    divisors_sorted,
     odd_sieve,
-    sigma,
-    tau,
 )
 from divmean.theta import ThetaRule, b_rows
+from oracles.checks import divisors_sorted, sigma, smallest_prime_factor, tau
 
 E_GAMMA = math.exp(-np.euler_gamma)
 
@@ -134,7 +132,7 @@ def test_multiplicativity(spf_1e5, rng):
 @given(st.integers(min_value=2, max_value=10**5))
 def test_spf_divides(n):
     t = _shared_table()
-    p = t.smallest_prime_factor(n)
+    p = smallest_prime_factor(t, n)
     assert n % p == 0
     assert all(n % q for q in range(2, min(p, 40)))
 

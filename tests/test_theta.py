@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from divmean import _util
 from divmean.errors import RangeError, ResourceError
-from divmean.sieve import build_prime_list, build_spf_table, sigma, tau
+from divmean.sieve import build_prime_list, build_spf_table
 from divmean.theta import (
     SeqStats,
     ThetaRule,
@@ -28,16 +28,21 @@ from divmean.theta import (
     b_rows,
     chain_stats_multi,
     dense_stats,
-    factor_nr,
     generate_B,
-    is_in_B,
-    is_practical_by_subset_sum,
-    is_t_dense_by_divisors,
     practical_stats,
     rough_members,
     rough_stats,
     verify_funceq,
     write_b_stream,
+)
+from oracles.checks import (
+    factor_nr,
+    is_in_B,
+    is_practical_by_subset_sum,
+    is_t_dense_by_divisors,
+    sigma,
+    smallest_prime_factor,
+    tau,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -203,7 +208,7 @@ class TestRoughStats:
     def test_members_match_smallest_prime_factor(self, spf_1e5):
         for x in (1, 2, 3, 4, 8, 9, 10, 99, 100, 101, 1000):
             for y in (2, 2.5, 3, 7, 9.9, 10, 11, 31, 32, 100, 1000, 5000):
-                want = [1] + [n for n in range(2, x + 1) if spf_1e5.smallest_prime_factor(n) > y]
+                want = [1] + [n for n in range(2, x + 1) if smallest_prime_factor(spf_1e5, n) > y]
                 assert rough_members(x, y).tolist() == want, (x, y)
         # the odd sieve at full fixture width, y on both sides of sqrt(x)
         for x in (99_999, 100_000):
@@ -367,7 +372,7 @@ class TestFactorSplit:
                 assert in_b[n]
                 if r > 1:
                     tf = rule.theta_floor(n, sigma(n, spf_1e6))
-                    assert spf_1e6.smallest_prime_factor(r) > tf
+                    assert smallest_prime_factor(spf_1e6, r) > tf
 
     @settings(max_examples=80)
     @given(m=st.integers(min_value=10**5 + 1, max_value=10**6))
@@ -379,7 +384,7 @@ class TestFactorSplit:
             assert is_in_B(n, rule, table)
             if r > 1:
                 tf = rule.theta_floor(n, sigma(n, table))
-                assert table.smallest_prime_factor(r) > tf
+                assert smallest_prime_factor(table, r) > tf
 
 
 _TABLE_CACHE = {}
