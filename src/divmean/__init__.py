@@ -18,7 +18,6 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (
-    ConfigError,
     ContourError,
     DivmeanError,
     PoleError,

@@ -466,15 +466,13 @@ def lambda1_closed_form():
     return 2.0 / (3.0 * EXP_NEG_2GAMMA - 2.0)
 
 
-def lambda0_via_I(delta=None):
+def lambda0_via_I(delta):
     """Leading residue by direct v-space quadrature of g'(delta).
 
     I = -int_0^inf gap(v) log(v+1) (v+1)^{-1-delta} dv - c/d^2 - c/(d-1)^2,
     then lambda0 = 1/(delta(delta-1)I).  Independent panels from the
     root-certificate route: same root, different integral.
     """
-    if delta is None:
-        delta = root_certificate("delta").location.real
     xi = get_bundle().ratio
     v_hi = xi.grid_end
     gl = np.polynomial.legendre.leggauss(20)

@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
-RangeError / ConfigError are argument problems (CLI maps them to usage
-errors, exit 2).  ResourceError / ContourError / SolverError are runtime
-failures of an otherwise valid request.
+RangeError is an argument problem (CLI maps it to a usage error, exit 2).
+ResourceError / ContourError / SolverError are runtime failures of an
+otherwise valid request.
 """
 
 
@@ -16,10 +16,6 @@ class RangeError(DivmeanError, ValueError):
 
 class PoleError(RangeError):
     """Evaluation requested exactly at a pole."""
-
-
-class ConfigError(DivmeanError, ValueError):
-    """Malformed rule, mapping, or shape argument."""
 
 
 class ResourceError(DivmeanError, RuntimeError):

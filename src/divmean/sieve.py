@@ -88,24 +88,20 @@ def odd_sieve(limit, bound, lo=0, out=None):
 
     Each odd prime p <= bound strikes its odd multiples from p*p on, so what
     survives is 1, the odd primes, and the odd numbers with no prime factor
-    <= bound.  No p above isqrt(limit) strikes, so bound is cut to it.  The
-    block from 0 finds those primes in itself, a later block in the block from
-    0 to bound.  Given out, of at least as many entries, the mask is its head, overwritten.
+    <= bound.  No p above isqrt(limit) strikes, so bound is cut to it.  Every
+    block, the one from 0 too, takes those primes from a sieve of 0 to bound.
+    Given out, of at least as many entries, the mask is its head, overwritten.
     """
     bound = min(bound, isqrt(limit))
     size = (limit - lo + 1) // 2
     odd = np.empty(size, dtype=bool) if out is None else out[:size]
     odd.fill(True)
-    if lo:
-        base = np.flatnonzero(odd_sieve(bound, isqrt(bound)))[1:].tolist()
-    else:
-        base = range(1, (bound + 1) // 2)
+    base = np.flatnonzero(odd_sieve(bound, isqrt(bound)))[1:].tolist() if bound > 2 else []
     for i in base:
-        if lo or odd[i]:
-            p = 2 * i + 1
-            # from p*p, or below lo from k = (lo+1)(p-1)/2 mod p: lo + 2k + 1 = 0 mod p
-            q = p * p
-            odd[(q - lo - 1) // 2 if q > lo else (lo + 1) * (p - 1) // 2 % p :: p] = False
+        p = 2 * i + 1
+        # from p*p, or below lo from k = (lo+1)(p-1)/2 mod p: lo + 2k + 1 = 0 mod p
+        q = p * p
+        odd[(q - lo - 1) // 2 if q > lo else (lo + 1) * (p - 1) // 2 % p :: p] = False
     return odd
 
 

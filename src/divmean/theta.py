@@ -95,9 +95,16 @@ def _isqrt(a):
     return r
 
 
-def _slices(starts, lens):
-    """The indices starts[k] + j, 0 <= j < lens[k], in order of k."""
-    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(int(lens.sum()))
+def _windows(starts, lens):
+    """(k, index) per window of at most _util.CHUNK pairs (k, starts[k] + j), 0 <= j < lens[k],
+    in order of k: the one cut of prime slices, for the walk's children and its leaves."""
+    ends = np.cumsum(lens)
+    firsts = ends - lens  # where each slice begins when they are laid end to end
+    for s in range(0, int(ends[-1]), _util.CHUNK):
+        e = min(s + _util.CHUNK, int(ends[-1]))
+        a, b = np.searchsorted(ends, [s, e - 1], side="right") + [0, 1]  # slices a..b-1 meet s..e-1
+        k = np.repeat(np.arange(a, b), np.minimum(ends[a:b], e) - np.maximum(firsts[a:b], s))
+        yield k, np.arange(s, e) + (starts - firsts)[k]
 
 
 def _walk(rule, x):
@@ -105,35 +112,35 @@ def _walk(rule, x):
     if x < 1:
         raise RangeError(f"x must be >= 1, got {x}")
     primes = _primes_for_rule(rule, x)
-    return primes.primes, _blocks(rule, x, primes.primes, primes.limit)
+    root = np.array([[1], [1], [1], [0]], dtype=np.int64)
+    return primes.primes, _blocks(rule, x, primes.primes, primes.limit, root)
 
 
-def _blocks(rule, x, parr, limit):
-    """Walk the parents of B(x) from n = 1, yielding blocks of at most _util.CHUNK.
+def _blocks(rule, x, parr, limit, block):
+    """Walk the parents of B(x) under one block of at most _util.CHUNK, depth-first.
 
     parr holds every prime <= limit.  A pending parent (n, sigma(n), tau(n), i0)
-    may go on with the primes parr[i0:] up to cap = min(floor(theta(n)), x//n).
+    of block may go on with the primes parr[i0:] up to cap = min(floor(theta(n)), x//n).
     A child n*p with p > isqrt(x//n) is a leaf: n*p*p > x, and any further
     prime would exceed p.  So the leaves of n are n*p for p in parr[lo:hi],
-    each with tau = 2*tau(n), and they are never pushed.  Smaller primes give
-    the children n*p^a, one pass per exponent a, pushed in blocks.  A block
-    yields the (5, k) int64 rows n, sigma(n), tau(n), lo, hi, and its k caps
-    apart.  Pending blocks are walked depth-first, so the stack holds the
-    children of about one block per depth rather than whole levels of the chain.
+    each with tau = 2*tau(n), and they are never made.  Smaller primes give
+    the children n*p^a, one pass per exponent a, one window of prime slices at
+    a time.  The block yields the (5, k) int64 rows n, sigma(n), tau(n), lo, hi,
+    and its k caps apart; then each window's children are walked in blocks
+    before the next window is made.  A level holds one block and one window of
+    children, and there are at most as many levels as a member has distinct primes.
     """
-    stack = [np.array([[1], [1], [1], [0]], dtype=np.int64)]
-    while stack:
-        ns, sgs, tus, i0 = stack.pop()
-        lims = x // ns
-        caps = np.minimum(_theta_floors(rule, x, ns, sgs, cut=True), lims)
-        if caps.max() > limit:
-            k = int(np.argmax(caps > limit))
-            raise RangeError(f"chain cap {caps[k]} at n={ns[k]} beyond prime list limit {limit}")
-        hi = np.maximum(np.searchsorted(parr, caps, side="right"), i0)
-        lo = np.clip(np.searchsorted(parr, _isqrt(lims), side="right"), i0, hi)
-        yield np.stack((ns, sgs, tus, lo, hi)), caps
-        idx = _slices(i0, lo - i0)
-        rep = np.repeat(np.arange(len(ns)), lo - i0)
+    ns, sgs, tus, i0 = block
+    lims = x // ns
+    caps = np.minimum(_theta_floors(rule, x, ns, sgs, cut=True), lims)
+    if caps.max() > limit:
+        k = int(np.argmax(caps > limit))
+        raise RangeError(f"chain cap {caps[k]} at n={ns[k]} beyond prime list limit {limit}")
+    hi = np.maximum(np.searchsorted(parr, caps, side="right"), i0)
+    lo = np.clip(np.searchsorted(parr, _isqrt(lims), side="right"), i0, hi)
+    yield np.stack((ns, sgs, tus, lo, hi)), caps
+    del lims, caps, hi  # not held while the children are walked
+    for rep, idx in _windows(i0, lo - i0):
         p, sg, tu = parr[idx], sgs[rep], tus[rep]
         m, spow, a, kids = ns[rep] * p, 1 + p, 2, []
         while len(m):  # m = n*p^(a-1) <= x and spow = sigma(p^(a-1))
@@ -141,9 +148,9 @@ def _blocks(rule, x, parr, limit):
             keep = m <= x // p
             m, p, sg, tu, spow, idx = (v[keep] for v in (m, p, sg, tu, spow, idx))
             m, spow, a = m * p, spow * p + 1, a + 1
-        if kids:
-            kids = np.concatenate(kids, axis=1)
-            stack.extend(kids[:, i : i + _util.CHUNK] for i in range(0, kids.shape[1], _util.CHUNK))
+        kids = np.concatenate(kids, axis=1)
+        for i in range(0, kids.shape[1], _util.CHUNK):
+            yield from _blocks(rule, x, parr, limit, kids[:, i : i + _util.CHUNK])
 
 
 def _theta_floors(rule, x, ns, sgs, cut=False):
@@ -207,21 +214,13 @@ def row_windows(rule, x):
     parr, blocks = _walk(rule, x)
     members = 0
     for (ns, sgs, tus, lo, hi), _ in blocks:
-        ends = np.cumsum(hi - lo)
-        members += len(ns) + int(ends[-1])
+        members += len(ns) + int((hi - lo).sum())
         if members > MEMBER_LIMIT:
             raise ResourceError(f"{members} chain members exceed budget {MEMBER_LIMIT}")
         yield ns, tus, sgs
-        for s in range(0, int(ends[-1]), _util.CHUNK):
-            e = min(s + _util.CHUNK, int(ends[-1]))
-            a, b = np.searchsorted(ends, [s, e - 1], side="right") + [0, 1]  # leaves s..e-1
-            first = np.maximum(ends[a:b] - (hi - lo)[a:b], s)
-            cnt = np.minimum(ends[a:b], e) - first
-            p = parr[_slices(hi[a:b] - ends[a:b] + first, cnt)]
-            n, sg, tu = (np.repeat(v[a:b], cnt) for v in (ns, sgs, tus))
-            n *= p
-            sg *= p + 1
-            yield n, 2 * tu, sg
+        for rep, i in _windows(lo, hi - lo):
+            p = parr[i]
+            yield ns[rep] * p, 2 * tus[rep], sgs[rep] * (p + 1)
 
 
 def _rough_blocks(x, y):

@@ -52,6 +52,9 @@ B_PRACTICAL_30 = [1, 2, 4, 6, 8, 12, 16, 18, 20, 24, 28, 30]
 B_DENSE2_20 = [1, 2, 4, 6, 8, 12, 16, 18, 20]
 
 
+_ROOT = np.array([[1], [1], [1], [0]], dtype=np.int64)  # the walk's first block: n = 1
+
+
 def _records(rule, x):  # B(x)'s parent records (n, sigma, tau, lo, hi) as one (5, k) array
     return np.concatenate([rec for rec, _ in _walk(rule, x)[1]], axis=1)
 
@@ -614,24 +617,42 @@ class TestBlockWalk:
 
     @pytest.mark.parametrize("name", ["practical", "dense-2", "dense-2.1"])
     def test_small_blocks_give_the_same_records(self, name, monkeypatch):
-        # blocks of 7 parents: every level of children is cut into many blocks,
-        # and windows of 7 members split one parent's leaf slice across windows
+        # windows of 7 pairs: a block's children are made a window at a time (the
+        # 16 child primes of n = 24, practical, span at least three), they are
+        # walked in blocks of at most 7 parents, and a window may split one
+        # parent's child or leaf slice
         rule, x, cuts = GATE_RULES[name](), 10**5, [10, 999, 10**5]
         want = sorted(map(tuple, _records(rule, x).T.tolist()))
         want_stats, want_B = chain_stats_multi(rule, cuts), generate_B(rule, x)
         monkeypatch.setattr("divmean._util.CHUNK", 7)
         pl = _primes_for_rule(rule, x)
-        blocks = [rec for rec, _ in _blocks(rule, x, pl.primes, pl.limit)]
+        blocks = [rec for rec, _ in _blocks(rule, x, pl.primes, pl.limit, _ROOT)]
         assert max(b.shape[1] for b in blocks) == 7
         assert sorted(map(tuple, np.concatenate(blocks, axis=1).T.tolist())) == want
         assert chain_stats_multi(rule, cuts) == want_stats
         assert np.array_equal(generate_B(rule, x), want_B)
 
-    @pytest.mark.parametrize("x", [10**8, 10**9])
+    @pytest.mark.parametrize("x", [10**8, 10**9, 10**10])
     def test_practical_rows_of_the_repository(self, x):
-        want = {10**8: (7_266_286, 565_147_032), 10**9: (64_782_731, 6_150_906_187)}[x]
+        want = {
+            10**8: (7_266_286, 565_147_032),
+            10**9: (64_782_731, 6_150_906_187),
+            10**10: (582_798_892, 66_252_898_434),
+        }[x]
         st_ = practical_stats(x)
         assert (st_.count, st_.tau_sum) == want
+
+    def test_walk_holds_a_window_per_level(self):
+        # each level of the walk holds one block and one window of children
+        # (about 10 MiB here); a block's children made all at once take 39 MiB
+        tracemalloc.start()
+        try:
+            (st_,) = chain_stats_multi(ThetaRule.practical(), [10**10])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st_.count == 582_798_892
+        assert peak < 16 << 20
 
     @pytest.mark.parametrize("name", ["practical", "2", "5/2", "100"])
     def test_factorisation_oracle_above_1e6(self, name, factorisation_chain):
@@ -690,6 +711,6 @@ class TestPrimeCap:
         # dense(2) at 1000 has caps up to 31 (n=32: min(64, 1000//32)); primes to 10 fall short
         pl = build_prime_list(10)
         with pytest.raises(RangeError, match="beyond prime list limit 10"):
-            list(_blocks(ThetaRule.dense(2), 1000, pl.primes, pl.limit))
+            list(_blocks(ThetaRule.dense(2), 1000, pl.primes, pl.limit, _ROOT))
         with pytest.raises(RangeError, match="beyond prime list limit 10"):
             list(_reference_parents(ThetaRule.dense(2), 1000, pl.primes.tolist(), pl.limit))
