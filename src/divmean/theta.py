@@ -30,9 +30,9 @@ from .errors import RangeError, ResourceError
 from .sieve import build_prime_list
 
 ROUGH_LIMIT = 1 << 27
-# members materialised by generate_B (about 17 bytes each: enumerate practical at 1e8
-# peaks 117 MiB above x = 100) and series rows (13 bytes each, beside one window of rows and
-# one prime sub-block), so 2^26 keeps a series near 0.9 GB and admits practical B(1e9) = 64,782,731
+# members of generate_B, counted before any is kept (about 9 bytes each: enumerate practical
+# at 1e8 peaks 62 MiB above x = 100) and series rows (13 bytes each, beside one window of rows
+# and one prime sub-block), so 2^26 keeps a series near 0.9 GB and admits practical B(1e9) = 64,782,731
 MEMBER_LIMIT = 1 << 26
 
 
@@ -87,14 +87,6 @@ def _primes_for_rule(rule, x):
     return build_prime_list(cap)
 
 
-def _isqrt(a):
-    """Exact floor(sqrt(a)) of an int64 array in [0, 2^62]: the float root is within 1."""
-    r = np.sqrt(a.astype(np.float64)).astype(np.int64)
-    r -= r * r > a
-    r += (r + 1) * (r + 1) <= a
-    return r
-
-
 def _windows(starts, lens):
     """(k, index) per window of at most _util.CHUNK pairs (k, starts[k] + j), 0 <= j < lens[k],
     in order of k: the one cut of prime slices, for the walk's children and its leaves."""
@@ -113,22 +105,24 @@ def _walk(rule, x):
         raise RangeError(f"x must be >= 1, got {x}")
     primes = _primes_for_rule(rule, x)
     root = np.array([[1], [1], [1], [0]], dtype=np.int64)
-    return primes.primes, _blocks(rule, x, primes.primes, primes.limit, root)
+    parr = primes.primes  # below the prime list's 2^27 budget, so parr * parr < 2^54
+    return parr, _blocks(rule, x, parr, parr * parr, primes.limit, root)
 
 
-def _blocks(rule, x, parr, limit, block):
+def _blocks(rule, x, parr, squares, limit, block):
     """Walk the parents of B(x) under one block of at most _util.CHUNK, depth-first.
 
-    parr holds every prime <= limit.  A pending parent (n, sigma(n), tau(n), i0)
-    of block may go on with the primes parr[i0:] up to cap = min(floor(theta(n)), x//n).
-    A child n*p with p > isqrt(x//n) is a leaf: n*p*p > x, and any further
-    prime would exceed p.  So the leaves of n are n*p for p in parr[lo:hi],
-    each with tau = 2*tau(n), and they are never made.  Smaller primes give
-    the children n*p^a, one pass per exponent a, one window of prime slices at
-    a time.  The block yields the (5, k) int64 rows n, sigma(n), tau(n), lo, hi,
-    and its k caps apart; then each window's children are walked in blocks
-    before the next window is made.  A level holds one block and one window of
-    children, and there are at most as many levels as a member has distinct primes.
+    parr holds every prime <= limit, and squares their squares.  A pending parent
+    (n, sigma(n), tau(n), i0) of block may go on with the primes parr[i0:] up to
+    cap = min(floor(theta(n)), x//n).  A child n*p with p*p > x//n is a leaf:
+    n*p*p > x, and any further prime would exceed p.  So the leaves of n are
+    n*p for p in parr[lo:hi], each with tau = 2*tau(n), and they are never
+    made.  Smaller primes give the children n*p^a, one pass per exponent a,
+    one window of prime slices at a time.  The block yields the (5, k) int64
+    rows n, sigma(n), tau(n), lo, hi, and its k caps apart; then each window's
+    children are walked in blocks before the next window is made.  A level
+    holds one block and one window of children, and there are at most as many
+    levels as a member has distinct primes.
     """
     ns, sgs, tus, i0 = block
     lims = x // ns
@@ -137,7 +131,7 @@ def _blocks(rule, x, parr, limit, block):
         k = int(np.argmax(caps > limit))
         raise RangeError(f"chain cap {caps[k]} at n={ns[k]} beyond prime list limit {limit}")
     hi = np.maximum(np.searchsorted(parr, caps, side="right"), i0)
-    lo = np.clip(np.searchsorted(parr, _isqrt(lims), side="right"), i0, hi)
+    lo = np.clip(np.searchsorted(squares, lims, side="right"), i0, hi)
     yield np.stack((ns, sgs, tus, lo, hi)), caps
     del lims, caps, hi  # not held while the children are walked
     for rep, idx in _windows(i0, lo - i0):
@@ -150,7 +144,7 @@ def _blocks(rule, x, parr, limit, block):
             m, spow, a = m * p, spow * p + 1, a + 1
         kids = np.concatenate(kids, axis=1)
         for i in range(0, kids.shape[1], _util.CHUNK):
-            yield from _blocks(rule, x, parr, limit, kids[:, i : i + _util.CHUNK])
+            yield from _blocks(rule, x, parr, squares, limit, kids[:, i : i + _util.CHUNK])
 
 
 def _theta_floors(rule, x, ns, sgs, cut=False):
@@ -180,9 +174,15 @@ def _tally(parr, blocks, cuts):
 
 
 def generate_B(rule, x):
-    """Sorted array of B(x), the members of row_windows."""
-    members = np.concatenate([n for n, _, _ in row_windows(rule, x)])
-    members.sort()  # in place: the windows' memory may not have gone back to the system
+    """Sorted array of B(x), the members of row_windows, counted before any is kept."""
+    (st,) = _tally(*_walk(rule, x), [x])  # reads leaf slices, makes no member
+    if st.count > MEMBER_LIMIT:
+        raise ResourceError(f"{st.count} chain members exceed budget {MEMBER_LIMIT}")
+    members, k = np.empty(st.count, dtype=np.int64), 0
+    for n, _, _ in row_windows(rule, x):
+        members[k : k + len(n)] = n
+        k += len(n)
+    members.sort()
     return members
 
 

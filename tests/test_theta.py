@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 
 from divmean import _util
 from divmean.errors import RangeError, ResourceError
-from divmean.sieve import build_prime_list, build_spf_table
+from divmean.sieve import DEFAULT_SPF_BUDGET, build_prime_list, build_spf_table
 from divmean.theta import (
     SeqStats,
     ThetaRule,
     _blocks,
-    _isqrt,
     _primes_for_rule,
     _rough_sums,
     _walk,
@@ -120,6 +119,20 @@ class TestGenerate:
     def test_x_below_one(self):
         with pytest.raises(RangeError):
             generate_B(ThetaRule.practical(), 0)
+
+    def test_refused_before_any_member_is_kept(self, monkeypatch):
+        # the count walk reads leaf slices only; B(1e7)'s 829,157 members alone take 6.3 MiB
+        rule = ThetaRule.practical()
+        count = practical_stats(10**7).count
+        monkeypatch.setattr("divmean.theta.MEMBER_LIMIT", count - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match=f"^{count} chain members"):
+                generate_B(rule, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
 
     def test_no_duplicates(self):
         # generate_B sorts parents and leaves together without dropping repeats
@@ -607,13 +620,20 @@ def _reference_parents(rule, x, plist, limit):
 class TestBlockWalk:
     """The numpy block walk against the scalar reference walk, record for record."""
 
-    @pytest.mark.parametrize("x", [1, 2, 10**3, 10**4, 10**5, 10**6])
+    # x on and beside 1009**2 (1009 is prime); at each x from 1e3 up, 2 to 15
+    # parents have x//n equal to the square of a prime in their slice, where a
+    # leaf cut off by one would show
+    @pytest.mark.parametrize("x", [1, 2, 10**3, 10**4, 10**5, 10**6, *(1009**2 + d for d in (-1, 0, 1))])
     @pytest.mark.parametrize("name", sorted(GATE_RULES))
     def test_records_match_reference_parents(self, name, x):
         rule = GATE_RULES[name]()
         pl = _primes_for_rule(rule, x)
         want = sorted(_reference_parents(rule, x, pl.primes.tolist(), pl.limit))
         assert sorted(map(tuple, _records(rule, x).T.tolist())) == want
+
+    def test_squares_of_listed_primes_fit_int64(self):
+        # the walk's leaf cut reads parr * parr in int64; every listed prime is below the budget
+        assert (DEFAULT_SPF_BUDGET - 1) ** 2 < 2**63
 
     @pytest.mark.parametrize("name", ["practical", "dense-2", "dense-2.1"])
     def test_small_blocks_give_the_same_records(self, name, monkeypatch):
@@ -626,7 +646,7 @@ class TestBlockWalk:
         want_stats, want_B = chain_stats_multi(rule, cuts), generate_B(rule, x)
         monkeypatch.setattr("divmean._util.CHUNK", 7)
         pl = _primes_for_rule(rule, x)
-        blocks = [rec for rec, _ in _blocks(rule, x, pl.primes, pl.limit, _ROOT)]
+        blocks = [rec for rec, _ in _blocks(rule, x, pl.primes, pl.primes**2, pl.limit, _ROOT)]
         assert max(b.shape[1] for b in blocks) == 7
         assert sorted(map(tuple, np.concatenate(blocks, axis=1).T.tolist())) == want
         assert chain_stats_multi(rule, cuts) == want_stats
@@ -677,40 +697,11 @@ def factorisation_chain():
     return make_reference.CHAIN_RULES, make_reference.chain_tables(10**7)
 
 
-class TestIsqrt:
-    """The walk's vectorised isqrt against math.isqrt.
-
-    Its inputs are x//n <= x.  Every walk builds a prime list first, whose
-    2^27-entry budget caps x near 2.6e15 for the practical rule (primes up to
-    sqrt(7x)) and lower for any dense rule, far inside the 2^62 range tested.
-    """
-
-    def test_around_squares(self):
-        # k in [1, 2^22], in [2^31 - 2^22, 2^31], and within 2^16 of each power
-        # of two, where the float spacing of k^2 doubles
-        ends = [(1, 1 << 22), ((1 << 31) - (1 << 22), 1 << 31)]
-        ends += [((1 << j) - (1 << 16), (1 << j) + (1 << 16)) for j in range(23, 31)]
-        for lo, hi in ends:
-            k = np.arange(lo, hi + 1, dtype=np.int64)
-            sq = k * k
-            assert np.array_equal(_isqrt(sq), k)
-            assert np.array_equal(_isqrt(sq - 1), k - 1)
-            up = sq < 1 << 62  # (2^31)^2 + 1 is past the range
-            assert np.array_equal(_isqrt(sq[up] + 1), k[up])
-
-    def test_random_against_math_isqrt(self):
-        rng = np.random.default_rng(13)
-        a = rng.integers(0, 1 << 62, size=200_000, endpoint=True, dtype=np.int64)
-        k = rng.integers(1, 1 << 31, size=100_000, endpoint=True, dtype=np.int64)
-        a = np.concatenate([a, k * k - 1, k * k, np.minimum(k * k + 1, 1 << 62), [0, 1 << 62]])
-        assert _isqrt(a).tolist() == [math.isqrt(v) for v in a.tolist()]
-
-
 class TestPrimeCap:
     def test_short_prime_list_raises(self):
         # dense(2) at 1000 has caps up to 31 (n=32: min(64, 1000//32)); primes to 10 fall short
         pl = build_prime_list(10)
         with pytest.raises(RangeError, match="beyond prime list limit 10"):
-            list(_blocks(ThetaRule.dense(2), 1000, pl.primes, pl.limit, _ROOT))
+            list(_blocks(ThetaRule.dense(2), 1000, pl.primes, pl.primes**2, pl.limit, _ROOT))
         with pytest.raises(RangeError, match="beyond prime list limit 10"):
             list(_reference_parents(ThetaRule.dense(2), 1000, pl.primes.tolist(), pl.limit))
