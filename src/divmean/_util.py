@@ -1,4 +1,3 @@
-import itertools
 import math
 
 CHUNK = 1 << 14  # entries per Python list, walk block and series window: bounds their temporaries
@@ -18,15 +17,6 @@ def write_lines(fh, values):
         chunk = values[i : i + CHUNK].tolist()
         fh.write(("%d\n" * len(chunk)) % tuple(chunk))
     return len(values)
-
-
-def fsum(a, f=lambda i, chunk: chunk):
-    """math.fsum over the arrays f(i, a[i : i + CHUNK]), i = 0, CHUNK, ...; by default over a.
-
-    Each array becomes a list in turn, so no list of the whole of a is built.
-    """
-    parts = (f(i, a[i : i + CHUNK]).tolist() for i in range(0, len(a), CHUNK))
-    return math.fsum(itertools.chain.from_iterable(parts))
 
 
 def fmt15(x):

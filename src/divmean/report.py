@@ -15,8 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 # the lazy modules, read at call time: a command runs only the bodies it calls into
-from . import constants, funcs, sieve, theta
-from ._util import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, fmt15, fsum
+from . import _util, constants, funcs, sieve, theta
+from ._util import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, fmt15
 from .errors import RangeError
 
 DEFAULT_SLACK = 5.0
@@ -180,59 +180,74 @@ def fit_nu_practical(xs):
     return [(s.x, s.tau_sum / (s.x * math.log(s.x) ** d)) for s in stats]
 
 
-def _series(rule, x, payload, terms, finish, tag=None):
-    """Terms and tags (None without tag) of B(x)'s rows.  Walk 1 counts the rows in each
-    prime sub-block (by theta floor); walk 2 stores each row's offset in its sub-block,
-    payload(n, tau) and tag[0](n).  Per sub-block of the prime walk over terms, the rows
-    read the sums at their floors in offset order, and finish(payloads, *sums) gives the terms."""
-    span, top, counts = sieve._span(), 0, np.zeros(1, dtype=np.int64)
-    for n, _, sg in theta.row_windows(rule, x):  # walk 1
-        tf = theta._theta_floors(rule, x, n, sg)
-        top = max(top, int(tf.max()))
-        if top < sieve.PRIME_WALK_LIMIT:  # else prime_walk refuses; walk 1 only names the top
-            c = np.bincount(tf // span, minlength=counts.size)
-            counts = c + np.pad(counts, (0, c.size - counts.size))
+def _series(rule, x, *terms):
+    """(n, tau(n), *sums) per window of at most _util.CHUNK rows of B(x), sums[j][i] the sum of
+    terms[j] over the primes <= floor(theta(n_i)), from one walk that keeps its parent records.
+
+    An epoch of prime sub-blocks up to stop takes the parents whose floors lie in it (sorted
+    once) and, from each slice due in it, the next leaves n*p whose key c*(p + d) is at most
+    the limit of rule.leaf_limit(stop, n, sigma(n)).  Keys rise with p, so a prime-count table
+    ends each run, and a slice is due when the key of its next leaf is.  The epoch's rows are
+    sorted by floor once, and each sub-block reads its run of them."""
+    parr, blocks = theta._walk(rule, x)
+    ns, sgs, tus, lo, hi = np.concatenate([recs for recs, _ in blocks], axis=1)
+    pf, (c, d, _) = theta._theta_floors(rule, x, ns, sgs), rule.leaf_limit(0, ns, sgs)
+    s = np.flatnonzero(hi > lo)  # the parents with a leaf slice
+    last = parr[hi[s] - 1]  # the top floor of a slice is its last leaf's
+    top = theta._theta_floors(rule, x, ns[s] * last, sgs[s] * (last + 1)).max(initial=pf.max())
     if top >> 63:
         raise RangeError(f"theta floor {top} beyond int64")
-    blocks = sieve.prime_walk(top, *terms)
-    ends = np.cumsum(counts)
-    off, vals = np.empty(ends[-1], dtype=np.uint32), np.empty(ends[-1])
-    tags, cursor = tag and np.empty(ends[-1], dtype=tag[1]), ends - counts
-    for n, tu, sg in theta.row_windows(rule, x):  # walk 2
-        tf = theta._theta_floors(rule, x, n, sg)
-        bk = tf // span
-        order = np.argsort(bk.astype(np.min_scalar_type(len(counts))), kind="stable")  # radix
-        n, tu, tf, bk = n[order], tu[order], tf[order], bk[order]
-        pos = (cursor - np.searchsorted(bk, np.arange(len(cursor))))[bk] + np.arange(len(bk))
-        cursor += np.bincount(bk, minlength=len(cursor))
-        off[pos], vals[pos] = tf - bk * span, payload(n, tu)
-        if tag:
-            tags[pos] = tag[0](n)
-    for lo, ps, cums in blocks:
-        a, b = ends[lo // span] - counts[lo // span], ends[lo // span]
-        key = np.sort(off[a:b].astype(np.uint64) << 32 | np.arange(b - a, dtype=np.uint64))
-        idx = np.empty(b - a, dtype=np.intp)  # looked up in offset order, kept in row order
-        idx[key & 0xFFFFFFFF] = np.searchsorted(ps, (key >> 32).astype(np.int64) + lo, "right")
-        vals[a:b] = finish(vals[a:b], *(cum[idx].astype(np.float64) for cum in cums))
-    return vals, tags
+    walk, span = sieve.prime_walk(int(top), *terms), sieve._span()
+    order = np.argsort(pf, kind="stable")
+    pf, pi = pf[order], np.cumsum(np.bincount(parr))  # pi[v]: the primes <= v
+    key = c[s] * (parr[lo[s]] + d)  # of each slice's next leaf, or finished past every limit
+    by_key = np.argsort(key, kind="stable")  # slices start in this order
+    s, nxt, key, finished = s[by_key], lo[s][by_key], key[by_key], np.iinfo(np.int64).max
+    first, budget, a, stop, width = key.copy(), max(_util.CHUNK, ns.size // 4), 0, 0, 1
+    for base, ps, cums in walk:
+        end = base + span
+        if end > stop:  # an epoch of width sub-blocks: its parents and leaf runs, in floor order
+            stop = base + width * span
+            _, _, limit = rule.leaf_limit(stop, ns, sgs)
+            b = np.searchsorted(pf, stop)
+            due = np.flatnonzero(key[: np.searchsorted(first, limit, "right")] <= limit)
+            p, n0 = s[due], nxt[due]
+            n1 = nxt[due] = np.minimum(pi[np.minimum(limit // c[p] - d, pi.size - 1)], hi[p])
+            fin = n1 == hi[p]
+            key[due] = np.where(fin, finished, c[p] * (parr[n1 - fin] + d))
+            rows = [(ns[order[a:b]], tus[order[a:b]], pf[a:b])]
+            for k, i in theta._windows(n0, n1 - n0):
+                n, q, p1 = ns[p[k]] * parr[i], p[k], parr[i] + 1
+                rows.append((n, 2 * tus[q], theta._theta_floors(rule, x, n, sgs[q] * p1)))
+            n, tau, tf = map(np.concatenate, zip(*rows))
+            del rows  # the windows, now joined
+            k = (tf - base).astype(np.uint64) << 32 | np.arange(n.size, dtype=np.uint64)
+            k.sort()
+            n, tau, tf = n[k & 0xFFFFFFFF], tau[k & 0xFFFFFFFF], (k >> 32).astype(np.int64) + base
+            # the next epoch's width aims at budget rows (a quarter of the parents, or a window)
+            a, j, width = b, 0, max(1, min(2 * width, 4096, width * budget // max(n.size, 1)))
+        i, j = j, np.searchsorted(tf, end)
+        for w in range(i, j, _util.CHUNK):
+            e = min(w + _util.CHUNK, j)
+            idx = np.searchsorted(ps, tf[w:e], "right")
+            yield (n[w:e], tau[w:e], *(cum[idx].astype(np.float64) for cum in cums))
 
 
 def L_partial_multi(rule, cutoffs):
     """Partial sums of the tau-weighted squared-Mertens series, one per cutoff.
 
     One series over B at the largest cutoff serves every cutoff: each term
-    depends on n alone and fsum is correctly rounded, so each value has the
-    bits of its own walk.
+    depends on n alone and the exact sum is correctly rounded, so each value
+    has the bits of its own walk.
     """
     if not cutoffs or min(cutoffs) < 1:
         raise RangeError("cutoffs must be positive integers")
     cuts = sorted(set(cutoffs))
-    terms, tags = _series(
-        rule, cuts[-1], lambda n, tau: tau.astype(np.float64) / n.astype(np.float64),
-        (_log_mertens,), lambda v, logm: v * np.exp(logm) * np.exp(logm),
-        (lambda n: np.searchsorted(cuts, n), np.min_scalar_type(len(cuts))),  # first cut >= n
-    )
-    return [fsum(terms, lambda i, c, k=cuts.index(N): c[tags[i : i + len(c)] <= k]) for N in cutoffs]
+    acc = sieve.ExactSum(len(cuts))
+    for n, tau, logm in _series(rule, cuts[-1], _log_mertens):
+        m = np.exp(logm)
+        acc.add(tau.astype(np.float64) / n.astype(np.float64) * m * m, np.searchsorted(cuts, n))
+    return [acc.value(cuts.index(N)) for N in cutoffs]  # tag k: the first cut >= n is cuts[k]
 
 
 def _log_mertens(p):
@@ -251,18 +266,16 @@ def c_theta_breakdown(rule, N):
     Positivity of the summands (every rule has theta(n) > n) is an observation,
     not a guarantee at finite cutoff, so violations are reported rather than raised.
     """
-    terms, _ = _series(
-        rule, N, lambda n, _: n.astype(np.float64),
-        (lambda p: np.log(p) / (p - 1.0), _log_mertens),
-        lambda n, logp, logm: (logp - np.log(n)) * np.exp(logm) / n,
-    )
-    value = fsum(terms) / (1.0 - EXP_NEG_GAMMA)
-    return {
-        "value": value,
-        "terms": int(terms.size),
-        "negative_terms": int(np.count_nonzero(terms < -1e-12)),
-        "min_term": float(terms.min()),
-    }
+    acc, count, negative, low = sieve.ExactSum(), 0, 0, math.inf
+    for n, _, logp, logm in _series(rule, N, lambda p: np.log(p) / (p - 1.0), _log_mertens):
+        nf = n.astype(np.float64)
+        terms = (logp - np.log(nf)) * np.exp(logm) / nf
+        acc.add(terms)
+        count += terms.size
+        negative += int(np.count_nonzero(terms < -1e-12))
+        low = min(low, float(terms.min()))
+    value = acc.value() / (1.0 - EXP_NEG_GAMMA)
+    return {"value": value, "terms": count, "negative_terms": negative, "min_term": low}
 
 
 def _grid(lo, hi, step):

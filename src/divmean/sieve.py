@@ -1,8 +1,9 @@
-"""One odd-only sieve, the prime list, and the factorisation table.
+"""One odd-only sieve, the prime list, the factorisation table, and one exact sum.
 
 Chain enumeration, rough-number statistics and Mertens products sit on
 odd_sieve, the segmented ones on odd_blocks.  No command builds the
 smallest-prime-factor table; the tests' factorisation oracles read it.
+Every float sum over primes, rough numbers or chain rows goes through ExactSum.
 """
 
 import math
@@ -16,15 +17,47 @@ from .errors import RangeError, ResourceError
 # 64 MiB for the odd-only bool prime sieve
 DEFAULT_SPF_BUDGET = 1 << 27
 # prime_walk holds one block's mask and one sub-block's sums at a time, so this
-# bounds its time (about 40 s), not its memory; theta at the practical
-# MEMBER_LIMIT stays below it (about 5e9)
+# bounds its time (about 40 s), not its memory; the practical series reach it
+# between N = 1.69e9 and 1.7e9
 PRIME_WALK_LIMIT = 1 << 33
 _BLOCK = 1 << 20  # odd numbers struck at a time by prime_walk and the rough sieve (a 1 MB mask)
 _SUB = 1 << 18  # odd numbers per sub-block of prime_walk; min(_SUB, _BLOCK) must divide _BLOCK
+_BINS = 2098  # frexp exponents of finite doubles, -1073 ... 1024
 
 
 def _span():  # numbers spanned by one sub-block of prime_walk; a _BLOCK below _SUB clamps it
     return 2 * min(_SUB, _BLOCK)
+
+
+class ExactSum:
+    """math.fsum of the float64 arrays added, in any order and split, per tag 0, 1, ...
+
+    add(values, tags) takes one int or an int array like values as the tags.  A finite
+    value is m * 2**(e - 53) (frexp) with an integer |m| < 2**53, cut into a high and a low
+    27-bit half; each half is summed per (tag, e) by bincount into int64 counters.  value(k)
+    adds the counters of tags 0 ... k as one integer over 2**1126 and rounds once, so it has
+    the bits of math.fsum, OverflowError included.
+    """
+
+    def __init__(self, tags=1):
+        self.counts = np.zeros((2, tags * _BINS), dtype=np.int64)
+
+    def add(self, values, tags=0):
+        bins = np.broadcast_to(np.asarray(tags, dtype=np.intp) * _BINS + 1073, values.shape)
+        for s in range(0, values.size, 1 << 26):  # bincount's float64 sums stay exact
+            m, e = np.frexp(values[s : s + (1 << 26)])
+            if not np.isfinite(m).all():
+                raise ValueError("ExactSum adds finite values only")
+            m = (m * 2.0**53).astype(np.int64)
+            for c, h in zip(self.counts, (m >> 27, m & (1 << 27) - 1)):  # high and low halves
+                c += np.bincount(bins[s : s + (1 << 26)] + e, h, minlength=c.size).astype(np.int64)
+        return self
+
+    def value(self, upto=0):
+        hi, lo = (c.reshape(-1, _BINS)[: upto + 1].sum(axis=0) for c in self.counts)
+        e = np.flatnonzero(hi | lo)  # the exponents in use: a Python loop over these only
+        hi, lo = hi[e].tolist(), lo[e].tolist()
+        return sum(((h << 27) + l) << k for k, h, l in zip(e.tolist(), hi, lo)) / (1 << 1126)
 
 
 class SpfTable:
@@ -80,7 +113,7 @@ class PrimeList:
         if k == 0:
             return 1.0
         terms = np.log1p(-1.0 / self.primes[:k].astype(np.float64))
-        return math.exp(math.fsum(terms))
+        return math.exp(ExactSum().add(terms).value())
 
 
 def odd_sieve(limit, bound, lo=0, out=None):

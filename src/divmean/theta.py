@@ -17,7 +17,6 @@ integer arithmetic (rational t included), never floating point, so boundary
 ties cannot be misclassified.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,9 +29,8 @@ from .errors import RangeError, ResourceError
 from .sieve import build_prime_list
 
 ROUGH_LIMIT = 1 << 27
-# members of generate_B, counted before any is kept (about 9 bytes each: enumerate practical
-# at 1e8 peaks 62 MiB above x = 100) and series rows (13 bytes each, beside one window of rows
-# and one prime sub-block), so 2^26 keeps a series near 0.9 GB and admits practical B(1e9) = 64,782,731
+# members of generate_B and rows of b_rows, counted before any is kept (about 9 bytes a member:
+# enumerate practical at 1e8 peaks 62 MiB above x = 100); no series keeps rows, so none reads it
 MEMBER_LIMIT = 1 << 26
 
 
@@ -72,6 +70,13 @@ class ThetaRule:
             return (n * self.t_num) // self.t_den
         return sigma_n + 1
 
+    def leaf_limit(self, end, n, sigma_n):
+        """(c, d, limit): a leaf n*p, p above the primes of n, has floor(theta(n*p)) < end
+        exactly when c*(p + d) <= limit; c = sigma(n), d = 1 (practical) or c = n, d = 0."""
+        if self.kind == "dense":  # t*n*p < end
+            return n, 0, (end * self.t_den - 1) // self.t_num
+        return sigma_n, 1, end - 2  # sigma(n)(p+1) + 1 < end
+
 
 def _primes_for_rule(rule, x):
     if rule.kind == "dense":
@@ -92,7 +97,7 @@ def _windows(starts, lens):
     in order of k: the one cut of prime slices, for the walk's children and its leaves."""
     ends = np.cumsum(lens)
     firsts = ends - lens  # where each slice begins when they are laid end to end
-    for s in range(0, int(ends[-1]), _util.CHUNK):
+    for s in range(0, int(lens.sum()), _util.CHUNK):  # none for no slices
         e = min(s + _util.CHUNK, int(ends[-1]))
         a, b = np.searchsorted(ends, [s, e - 1], side="right") + [0, 1]  # slices a..b-1 meet s..e-1
         k = np.repeat(np.arange(a, b), np.minimum(ends[a:b], e) - np.maximum(firsts[a:b], s))
@@ -174,14 +179,18 @@ def _tally(parr, blocks, cuts):
 
 
 def generate_B(rule, x):
-    """Sorted array of B(x), the members of row_windows, counted before any is kept."""
+    """Sorted array of B(x), parents and leaf slices, counted before any is kept."""
     (st,) = _tally(*_walk(rule, x), [x])  # reads leaf slices, makes no member
     if st.count > MEMBER_LIMIT:
         raise ResourceError(f"{st.count} chain members exceed budget {MEMBER_LIMIT}")
     members, k = np.empty(st.count, dtype=np.int64), 0
-    for n, _, _ in row_windows(rule, x):
-        members[k : k + len(n)] = n
-        k += len(n)
+    parr, blocks = _walk(rule, x)
+    for (ns, _, _, lo, hi), _ in blocks:
+        members[k : k + len(ns)] = ns
+        k += len(ns)
+        for rep, i in _windows(lo, hi - lo):
+            members[k : k + len(i)] = ns[rep] * parr[i]
+            k += len(i)
     members.sort()
     return members
 
@@ -195,32 +204,19 @@ def chain_stats_multi(rule, cutoffs):
 
 
 def b_rows(rule, x):
-    """Arrays (n, tau, theta_floor) over B(x), ascending in n."""
-    ns, taus, sgs = map(np.concatenate, zip(*row_windows(rule, x)))
+    """Arrays (n, tau, theta_floor) over B(x), ascending in n: the parent records, then the
+    leaves n*p of their slices with tau 2*tau(n) and sigma(n)(p+1).  Refused past MEMBER_LIMIT."""
+    parr, blocks = _walk(rule, x)
+    ns, sgs, tus, lo, hi = np.concatenate([recs for recs, _ in blocks], axis=1)
+    if (count := ns.size + int((hi - lo).sum())) > MEMBER_LIMIT:
+        raise ResourceError(f"{count} chain members exceed budget {MEMBER_LIMIT}")
+    leaves = [(ns[k] * parr[i], 2 * tus[k], sgs[k] * (parr[i] + 1)) for k, i in _windows(lo, hi - lo)]
+    ns, taus, sgs = map(np.concatenate, zip((ns, tus, sgs), *leaves))
     tf = _theta_floors(rule, x, ns, sgs)
     if tf.dtype == object:
         raise RangeError(f"theta floor {tf.max()} beyond int64")
     order = np.argsort(ns)  # members are distinct, so any sort gives this order
     return ns[order], taus[order], tf[order]
-
-
-def row_windows(rule, x):
-    """B(x)'s rows (n, tau(n), sigma(n)) in windows of at most _util.CHUNK, unsorted.
-
-    Each walk block gives its parents, then its leaves, a window of which may
-    split one parent's slice.  More than MEMBER_LIMIT members are refused as soon
-    as the walk passes it.  A reader that needs floor(theta(n)) takes _theta_floors.
-    """
-    parr, blocks = _walk(rule, x)
-    members = 0
-    for (ns, sgs, tus, lo, hi), _ in blocks:
-        members += len(ns) + int((hi - lo).sum())
-        if members > MEMBER_LIMIT:
-            raise ResourceError(f"{members} chain members exceed budget {MEMBER_LIMIT}")
-        yield ns, tus, sgs
-        for rep, i in _windows(lo, hi - lo):
-            p = parr[i]
-            yield ns[rep] * p, 2 * tus[rep], sgs[rep] * (p + 1)
 
 
 def _rough_blocks(x, y):
@@ -260,29 +256,24 @@ def _rough_sums(x, y, harmonic):
     Divisors of rough numbers are rough, so S counts the pairs a*b <= x of
     members: those with a <= sqrt(x), twice, less those with both <= sqrt(x).
     One pass over the blocks keeps a running count of members, read at the end
-    (x//a + 1)//2 of each a's odd numbers; fsum takes the reciprocals as it goes.
+    (x//a + 1)//2 of each a's odd numbers; an exact sum takes the reciprocals as it goes.
     """
     blocks = _rough_blocks(x, y)
     # the rough a <= sqrt(x), by a sieve of their own; not rough_members, which perfbench spans
     small = np.concatenate(list(rough_member_blocks(isqrt(x), y)))
     ends = ((x // small[::-1] + 1) // 2).tolist()  # the last, (x + 1)//2, ends the pass
-    counts = []
-
-    def reciprocals():
-        k = c = 0
-        for i, odd in blocks:
-            j = 0
-            while k < len(ends) and ends[k] - i <= odd.size:
-                c += int(np.count_nonzero(odd[j : ends[k] - i]))
-                j = ends[k] - i
-                counts.append(c)
-                k += 1
-            c += int(np.count_nonzero(odd[j:]))
-            for s in range(0, odd.size if harmonic else 0, _util.CHUNK):
-                yield (1.0 / (2 * (np.flatnonzero(odd[s : s + _util.CHUNK]) + i + s) + 1)).tolist()
-
-    harm = math.fsum(itertools.chain.from_iterable(reciprocals()))
-    return counts[-1], 2 * sum(counts) - len(small) ** 2, harm
+    counts, harm, k, c = [], sieve.ExactSum(), 0, 0
+    for i, odd in blocks:
+        j = 0
+        while k < len(ends) and ends[k] - i <= odd.size:
+            c += int(np.count_nonzero(odd[j : ends[k] - i]))
+            j = ends[k] - i
+            counts.append(c)
+            k += 1
+        c += int(np.count_nonzero(odd[j:]))
+        for s in range(0, odd.size if harmonic else 0, _util.CHUNK):
+            harm.add(1.0 / (2 * (np.flatnonzero(odd[s : s + _util.CHUNK]) + i + s) + 1))
+    return counts[-1], 2 * sum(counts) - len(small) ** 2, harm.value() if harmonic else 0.0
 
 
 def rough_stats(x, y):

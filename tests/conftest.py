@@ -113,9 +113,8 @@ def rough_reference():
 
     The reference for the segmented rough path: the single mask, the prefix
     counts at the ends (x//a + 1)//2 for the rough a <= sqrt(x) read off that
-    mask's own prefix, and the harmonic sum over the mask in chunks.
+    mask's own prefix, and math.fsum of the reciprocals over the mask.
     """
-    from divmean import _util
     from divmean.sieve import odd_sieve
 
     def stats(x, y):
@@ -126,7 +125,7 @@ def rough_reference():
         ends = [0] + ((x // small[::-1] + 1) // 2).tolist()  # the last is len(odd)
         segs = (np.count_nonzero(odd[i:j]) for i, j in zip(ends, ends[1:]))
         counts = list(itertools.accumulate(segs))
-        harm = _util.fsum(odd, lambda i, chunk: 1.0 / (2 * (np.flatnonzero(chunk) + i) + 1))
+        harm = math.fsum((1.0 / (2 * np.flatnonzero(odd) + 1)).tolist())
         members = np.flatnonzero(odd) * 2 + 1
         return members, int(counts[-1]), 2 * int(sum(counts)) - len(small) ** 2, harm
 

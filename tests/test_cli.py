@@ -117,17 +117,14 @@ class TestMemberBudget:
     """More chain members than MEMBER_LIMIT are refused before they are built."""
 
     X = 20000
-    CASES = [
-        ["enumerate", "practical", "--x", str(X)],
-        ["verify", "L", "--theta", "practical", "--n", str(X)],
-    ]
+    CASES = [["enumerate", "practical", "--x", str(X)]]
 
     @staticmethod
     def _members():
         (st,) = theta.chain_stats_multi(theta.ThetaRule.practical(), [TestMemberBudget.X])
         return st.count
 
-    @pytest.mark.parametrize("argv", CASES, ids=["enumerate", "verify-L"])
+    @pytest.mark.parametrize("argv", CASES, ids=["enumerate"])
     def test_over_budget_is_usage_error(self, argv, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(theta, "MEMBER_LIMIT", self._members() - 1)
         code, out, err = run(argv, capsys)
@@ -139,13 +136,20 @@ class TestMemberBudget:
         assert run([*argv, "--out", str(path)], capsys)[0] == 2
         assert path.read_bytes() == b"keep\n"
 
-    @pytest.mark.parametrize("argv", CASES, ids=["enumerate", "verify-L"])
+    @pytest.mark.parametrize("argv", CASES, ids=["enumerate"])
     def test_count_at_budget_passes(self, argv, capsys, monkeypatch):
         monkeypatch.setattr(theta, "MEMBER_LIMIT", self._members())
         code, out, _ = run(argv, capsys)
         assert code == 0
-        if argv[0] == "enumerate":
-            assert len(out.split()) == self._members()
+        assert len(out.split()) == self._members()
+
+    def test_series_runs_with_member_limit_one(self, capsys, monkeypatch):
+        # the series keeps parent records only, so no member budget bounds it
+        argv = ["verify", "L", "--theta", "practical", "--n", str(self.X)]
+        want = run(argv, capsys)
+        assert want[0] == 0
+        monkeypatch.setattr(theta, "MEMBER_LIMIT", 1)
+        assert run(argv, capsys) == want
 
     def test_failed_allocation_is_one_error_line(self, capsys, monkeypatch):
         # below the budget numpy can still fail to allocate, e.g. under ulimit -v
@@ -314,10 +318,10 @@ class TestVerify:
         assert out == ""
         assert err.splitlines() == ["error: cutoffs must be positive integers"]
 
-    def test_series_ladder_walks_twice(self, capsys, monkeypatch):
-        # the cutoffs share two walks of B(N), one to count the rows of each
-        # prime sub-block and one to write them, and never b_rows; the Mertens
-        # sums build no prime list and strike with the primes up to sqrt(theta)
+    def test_series_ladder_walks_once(self, capsys, monkeypatch):
+        # the cutoffs share one walk of B(N), whose parent records give every
+        # row, and never b_rows; the Mertens sums build no prime list and
+        # strike with the primes up to sqrt(theta)
         calls = {"b_rows": [], "_walk": [], "build_prime_list": [], "odd_sieve": []}
 
         def recorded(mod, name):
@@ -345,9 +349,9 @@ class TestVerify:
             assert code == 0
             assert len(out.splitlines()) == cutoffs + 2
             assert calls["b_rows"] == []
-            assert [x for _, (_, x), _ in calls["_walk"]] == [n, n]
-            # theta's lists serve the two walks; the Mertens side builds none
-            assert [mod for mod, _, _ in calls["build_prime_list"]] == ["divmean.theta"] * 2
+            assert [x for _, (_, x), _ in calls["_walk"]] == [n]
+            # theta's list serves the walk; the Mertens side builds none
+            assert [mod for mod, _, _ in calls["build_prime_list"]] == ["divmean.theta"]
             # and sieves one block at a time, striking with the primes up to sqrt(theta)
             assert calls["odd_sieve"]
             for _, (limit, bound, *lo), _ in calls["odd_sieve"]:

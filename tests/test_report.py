@@ -12,7 +12,7 @@ from divmean import report as R
 from divmean.errors import RangeError
 from divmean.funcs import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, get_bundle
 from divmean.sieve import build_prime_list
-from divmean.theta import ThetaRule, b_rows, chain_stats_multi
+from divmean.theta import ThetaRule, b_rows
 
 
 def _log_mertens(p):
@@ -261,23 +261,20 @@ class TestSeriesEngine:
         assert info["terms"] == terms.size
         assert info["negative_terms"] == np.count_nonzero((terms < -1e-12) & (tf >= ns))
 
-    def test_traced_bytes_per_row(self):
-        # the series holds 13 bytes per row (uint32 offset, float64 payload,
-        # uint8 tag) next to one window and one prime sub-block; b_rows with a
-        # sorted prime-walk reader held about 58
+    def test_traced_peak_below_10_mib(self):
+        # one walk keeps B(1e7)'s 30,922 parent records and one window of rows per
+        # prime sub-block (about 7 MiB); storing its 829,157 rows at 13 bytes each
+        # would peak near 14.6 MiB
         import tracemalloc
 
         rule = ThetaRule.practical()
-        cuts = [10**5, 10**6, 10**7]
-        rows = chain_stats_multi(rule, [cuts[-1]])[0].count
-        assert rows == 829_157
         tracemalloc.start()
         try:
-            R.L_partial_multi(rule, cuts)
+            R.L_partial_multi(rule, [10**5, 10**6, 10**7])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 30 * rows
+        assert peak < 10 << 20
 
 
 class TestFigures:

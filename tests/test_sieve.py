@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from divmean import RangeError, ResourceError, sieve
 from divmean.sieve import (
     DEFAULT_SPF_BUDGET,
+    ExactSum,
     PRIME_WALK_LIMIT,
     build_prime_list,
     build_spf_table,
@@ -296,3 +297,56 @@ def test_prime_walk_sub_blocks(block, sub, top, monkeypatch):
             assert np.array_equal(ps, primes[a:b]), (t, lo)
             assert np.array_equal(cum, full[a : b + 1]), (t, lo)
         assert los == list(range(0, t + 1, 2 * sub)), t
+
+
+def _exact_sum_cases(rng):
+    """(kind, values) of 300 random arrays: mixed signs over the whole exponent range,
+    near-total cancellation, subnormals, magnitudes near 1e308, one element and none."""
+    for i in range(300):
+        size = int(rng.integers(2, 3000))
+        kind = i % 6
+        if kind == 0:
+            v = rng.standard_normal(size) * 2.0 ** rng.integers(-1000, 1000, size)
+        elif kind == 1:  # each value against its negation, one ulp or so apart
+            v = rng.standard_normal(size)
+            v = np.concatenate([v, -v * (1.0 + rng.integers(-2, 3, size) * 2.0**-52)])
+            rng.shuffle(v)
+        elif kind == 2:
+            v = rng.integers(-(2**52), 2**52, size) * 5e-324
+        elif kind == 3:  # no partial sum passes the largest double, 1.797e308
+            v = rng.uniform(-1.0, 1.0, min(size, 64)) * 1e305
+            v[:2] = 1.7e308, -1.65e308
+            rng.shuffle(v)
+        elif kind == 4:
+            v = rng.standard_normal(1) * 10.0 ** rng.integers(-300, 300)
+        else:
+            v = np.empty(0)
+        yield kind, v
+
+
+class TestExactSum:
+    """ExactSum against math.fsum of the same values, bit for bit."""
+
+    def test_equals_fsum_bitwise(self, rng):
+        for kind, v in _exact_sum_cases(rng):
+            assert ExactSum().add(v).value() == math.fsum(v.tolist()), kind
+
+    def test_tags_and_splits_equal_fsum_bitwise(self, rng):
+        # each tag k reads the values of tags 0 ... k, whatever the order and split of the adds
+        for kind, v in _exact_sum_cases(rng):
+            tags = rng.integers(0, 4, v.size)
+            acc, cut = ExactSum(4), int(rng.integers(0, v.size + 1))
+            acc.add(v[cut:], tags[cut:]).add(v[:cut], tags[:cut])
+            for k in range(4):
+                assert acc.value(k) == math.fsum(v[tags <= k].tolist()), (kind, k)
+        acc = ExactSum(2).add(np.array([1.5, 2.25]), 1)
+        assert (acc.value(0), acc.value(1)) == (0.0, 3.75)
+
+    def test_overflow_and_non_finite_raise(self):
+        with pytest.raises(OverflowError):
+            math.fsum([1.7e308, 1.7e308])
+        with pytest.raises(OverflowError):
+            ExactSum().add(np.array([1.7e308, 1.7e308])).value()
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError):
+                ExactSum().add(np.array([1.0, bad]))

@@ -515,6 +515,30 @@ class TestRows:
             assert tf == sigma(n, spf_1e5) + 1
 
 
+class TestLeafLimit:
+    """A leaf n*p has floor(theta) < end exactly when its key c*(p + d) is at most the
+    limit of leaf_limit(end, n, sigma(n)), that is when p <= limit // c - d: at ends on a
+    leaf floor and one either side, against the floors of every leaf below 3000."""
+
+    @pytest.mark.parametrize(
+        "rule",
+        [ThetaRule.practical(), *(ThetaRule.dense(t) for t in (2, Fraction(5, 2), 100, 2.1))],
+        ids=lambda r: r.name,
+    )
+    def test_matches_brute_force_floors(self, rule, spf_1e5):
+        primes = build_prime_list(3000).primes.tolist()
+        for n, top_prime in ((1, 1), (2, 2), (6, 3), (12, 3), (30, 5), (210, 7), (3072, 3)):
+            sg = sigma(n, spf_1e5)
+            leaves = [p for p in primes if p > top_prime]
+            floors = [rule.theta_floor(n * p, sg * (p + 1)) for p in leaves]
+            for f in floors[::37] + floors[-1:]:
+                for end in (f - 1, f, f + 1):
+                    c, d, limit = rule.leaf_limit(end, n, sg)
+                    below = [p for p, fl in zip(leaves, floors) if fl < end]
+                    assert [p for p in leaves if c * (p + d) <= limit] == below, (n, end)
+                    assert [p for p in leaves if p <= limit // c - d] == below, (n, end)
+
+
 def _reference_walk(rule, x):
     """Member-by-member DFS over B(x), yielding (n, sigma(n), tau(n)) for each.
 

@@ -63,7 +63,7 @@ def test_cli_import_registers_every_traced_module():
 # (divmean arguments, {span: the work counts it must record}) of cheap runs
 # that pass through every COUNTS reader but those of build_spf_table and
 # b_rows, which no command reaches: the series checks take their rows from
-# theta.row_windows, so `verify L` records only the walks' prime lists
+# the walk's parent records, so `verify L` records only the walk's prime list
 _TRACE_RUNS = [
     (["stats", "practical", "--x", "1000"], {
         "theta.practical_stats": {"members"},
