@@ -17,7 +17,7 @@ import numpy as np
 # the lazy modules, read at call time: a command runs only the bodies it calls into
 from . import _util, constants, funcs, sieve, theta
 from ._util import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, fmt15
-from .errors import RangeError
+from .errors import RangeError, ResourceError
 
 DEFAULT_SLACK = 5.0
 GRID_POINT_LIMIT = 10**6  # rows of one tabulated function or figure
@@ -191,6 +191,8 @@ def _series(rule, x, *terms):
     sorted by floor once, and each sub-block reads its run of them."""
     parr, blocks = theta._walk(rule, x)
     ns, sgs, tus, lo, hi = np.concatenate([recs for recs, _ in blocks], axis=1)
+    if (count := ns.size + int((hi - lo).sum())) > theta.MEMBER_LIMIT:  # as b_rows refuses
+        raise ResourceError(f"{count} chain members exceed budget {theta.MEMBER_LIMIT}")
     pf, (c, d, _) = theta._theta_floors(rule, x, ns, sgs), rule.leaf_limit(0, ns, sgs)
     s = np.flatnonzero(hi > lo)  # the parents with a leaf slice
     last = parr[hi[s] - 1]  # the top floor of a slice is its last leaf's

@@ -30,7 +30,7 @@ from .sieve import build_prime_list
 
 ROUGH_LIMIT = 1 << 27
 # members of generate_B and rows of b_rows, counted before any is kept (about 9 bytes a member:
-# enumerate practical at 1e8 peaks 62 MiB above x = 100); no series keeps rows, so none reads it
+# enumerate practical at 1e8 peaks 62 MiB above x = 100); the series keep no rows, yet refuse it too
 MEMBER_LIMIT = 1 << 26
 
 

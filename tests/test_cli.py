@@ -117,14 +117,17 @@ class TestMemberBudget:
     """More chain members than MEMBER_LIMIT are refused before they are built."""
 
     X = 20000
-    CASES = [["enumerate", "practical", "--x", str(X)]]
+    CASES = [
+        ["enumerate", "practical", "--x", str(X)],
+        ["verify", "L", "--theta", "practical", "--n", str(X)],
+    ]
 
     @staticmethod
     def _members():
         (st,) = theta.chain_stats_multi(theta.ThetaRule.practical(), [TestMemberBudget.X])
         return st.count
 
-    @pytest.mark.parametrize("argv", CASES, ids=["enumerate"])
+    @pytest.mark.parametrize("argv", CASES, ids=["enumerate", "verify-L"])
     def test_over_budget_is_usage_error(self, argv, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(theta, "MEMBER_LIMIT", self._members() - 1)
         code, out, err = run(argv, capsys)
@@ -136,20 +139,13 @@ class TestMemberBudget:
         assert run([*argv, "--out", str(path)], capsys)[0] == 2
         assert path.read_bytes() == b"keep\n"
 
-    @pytest.mark.parametrize("argv", CASES, ids=["enumerate"])
+    @pytest.mark.parametrize("argv", CASES, ids=["enumerate", "verify-L"])
     def test_count_at_budget_passes(self, argv, capsys, monkeypatch):
         monkeypatch.setattr(theta, "MEMBER_LIMIT", self._members())
         code, out, _ = run(argv, capsys)
         assert code == 0
-        assert len(out.split()) == self._members()
-
-    def test_series_runs_with_member_limit_one(self, capsys, monkeypatch):
-        # the series keeps parent records only, so no member budget bounds it
-        argv = ["verify", "L", "--theta", "practical", "--n", str(self.X)]
-        want = run(argv, capsys)
-        assert want[0] == 0
-        monkeypatch.setattr(theta, "MEMBER_LIMIT", 1)
-        assert run(argv, capsys) == want
+        if argv[0] == "enumerate":
+            assert len(out.split()) == self._members()
 
     def test_failed_allocation_is_one_error_line(self, capsys, monkeypatch):
         # below the budget numpy can still fail to allocate, e.g. under ulimit -v
