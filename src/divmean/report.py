@@ -17,7 +17,7 @@ import numpy as np
 # the lazy modules, read at call time: a command runs only the bodies it calls into
 from . import _util, constants, funcs, sieve, theta
 from ._util import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, fmt15
-from .errors import RangeError, ResourceError
+from .errors import RangeError
 
 DEFAULT_SLACK = 5.0
 GRID_POINT_LIMIT = 10**6  # rows of one tabulated function or figure
@@ -182,17 +182,16 @@ def fit_nu_practical(xs):
 
 def _series(rule, x, *terms):
     """(n, tau(n), *sums) per window of at most _util.CHUNK rows of B(x), sums[j][i] the sum of
-    terms[j] over the primes <= floor(theta(n_i)), from one walk that keeps its parent records.
+    terms[j] over the primes <= floor(theta(n_i)), from the parent records of one counted walk.
 
     An epoch of prime sub-blocks up to stop takes the parents whose floors lie in it (sorted
     once) and, from each slice due in it, the next leaves n*p whose key c*(p + d) is at most
     the limit of rule.leaf_limit(stop, n, sigma(n)).  Keys rise with p, so a prime-count table
     ends each run, and a slice is due when the key of its next leaf is.  The epoch's rows are
     sorted by floor once, and each sub-block reads its run of them."""
-    parr, blocks = theta._walk(rule, x)
-    ns, sgs, tus, lo, hi = np.concatenate([recs for recs, _ in blocks], axis=1)
-    if (count := ns.size + int((hi - lo).sum())) > theta.MEMBER_LIMIT:  # as b_rows refuses
-        raise ResourceError(f"{count} chain members exceed budget {theta.MEMBER_LIMIT}")
+    parr, blocks, _ = theta._records(rule, x)
+    ns, sgs, tus, lo, hi = np.concatenate(blocks, axis=1)
+    del blocks  # not held beside their join for the whole series
     pf, (c, d, _) = theta._theta_floors(rule, x, ns, sgs), rule.leaf_limit(0, ns, sgs)
     s = np.flatnonzero(hi > lo)  # the parents with a leaf slice
     last = parr[hi[s] - 1]  # the top floor of a slice is its last leaf's

@@ -3,7 +3,9 @@
 Chain enumeration, rough-number statistics and Mertens products sit on
 odd_sieve, the segmented ones on odd_blocks.  No command builds the
 smallest-prime-factor table; the tests' factorisation oracles read it.
-Every float sum over primes, rough numbers or chain rows goes through ExactSum.
+ExactSum takes the float sums that are results: the Mertens product at one
+cutoff, the rough harmonic sum and the series' terms.  prime_walk's prefix
+sums over the primes are longdouble cumulative sums in ascending order.
 """
 
 import math

@@ -29,8 +29,8 @@ from .errors import RangeError, ResourceError
 from .sieve import build_prime_list
 
 ROUGH_LIMIT = 1 << 27
-# members of generate_B and rows of b_rows, counted before any is kept (about 9 bytes a member:
-# enumerate practical at 1e8 peaks 62 MiB above x = 100); the series keep no rows, yet refuse it too
+# members of B(x), parents and leaves, that _records lets generate_B, b_rows and the series
+# read (about 9 bytes a member listed: enumerate practical at 1e8 peaks 62 MiB above x = 100)
 MEMBER_LIMIT = 1 << 26
 
 
@@ -97,11 +97,12 @@ def _windows(starts, lens):
     in order of k: the one cut of prime slices, for the walk's children and its leaves."""
     ends = np.cumsum(lens)
     firsts = ends - lens  # where each slice begins when they are laid end to end
+    shift = starts - firsts
     for s in range(0, int(lens.sum()), _util.CHUNK):  # none for no slices
         e = min(s + _util.CHUNK, int(ends[-1]))
         a, b = np.searchsorted(ends, [s, e - 1], side="right") + [0, 1]  # slices a..b-1 meet s..e-1
         k = np.repeat(np.arange(a, b), np.minimum(ends[a:b], e) - np.maximum(firsts[a:b], s))
-        yield k, np.arange(s, e) + (starts - firsts)[k]
+        yield k, np.arange(s, e) + shift[k]
 
 
 def _walk(rule, x):
@@ -178,14 +179,28 @@ def _tally(parr, blocks, cuts):
     return [SeqStats(*row) for row in zip(cuts, counts, taus)]
 
 
-def generate_B(rule, x):
-    """Sorted array of B(x), parents and leaf slices, counted before any is kept."""
-    (st,) = _tally(*_walk(rule, x), [x])  # reads leaf slices, makes no member
-    if st.count > MEMBER_LIMIT:
-        raise ResourceError(f"{st.count} chain members exceed budget {MEMBER_LIMIT}")
-    members, k = np.empty(st.count, dtype=np.int64), 0
+def _records(rule, x):
+    """The prime array of B(x)'s walk, its parent records (n, sigma, tau, lo, hi) in (5, k) blocks
+    and the count of B(x), parents and leaf slices counted as the blocks arrive.  Once the count
+    passes MEMBER_LIMIT no block is kept; the finished count is refused."""
     parr, blocks = _walk(rule, x)
-    for (ns, _, _, lo, hi), _ in blocks:
+    kept, count = [], 0
+    for recs, _ in blocks:
+        count += recs.shape[1] + int((recs[4] - recs[3]).sum())
+        if count > MEMBER_LIMIT:
+            kept.clear()  # the walk goes on only to finish the count
+        else:
+            kept.append(recs)
+    if count > MEMBER_LIMIT:
+        raise ResourceError(f"{count} chain members exceed budget {MEMBER_LIMIT}")
+    return parr, kept, count
+
+
+def generate_B(rule, x):
+    """Sorted array of B(x): the parents and leaf slices of one counted walk."""
+    parr, blocks, count = _records(rule, x)
+    members, k = np.empty(count, dtype=np.int64), 0
+    for ns, _, _, lo, hi in blocks:
         members[k : k + len(ns)] = ns
         k += len(ns)
         for rep, i in _windows(lo, hi - lo):
@@ -206,10 +221,8 @@ def chain_stats_multi(rule, cutoffs):
 def b_rows(rule, x):
     """Arrays (n, tau, theta_floor) over B(x), ascending in n: the parent records, then the
     leaves n*p of their slices with tau 2*tau(n) and sigma(n)(p+1).  Refused past MEMBER_LIMIT."""
-    parr, blocks = _walk(rule, x)
-    ns, sgs, tus, lo, hi = np.concatenate([recs for recs, _ in blocks], axis=1)
-    if (count := ns.size + int((hi - lo).sum())) > MEMBER_LIMIT:
-        raise ResourceError(f"{count} chain members exceed budget {MEMBER_LIMIT}")
+    parr, blocks, _ = _records(rule, x)
+    ns, sgs, tus, lo, hi = np.concatenate(blocks, axis=1)
     leaves = [(ns[k] * parr[i], 2 * tus[k], sgs[k] * (parr[i] + 1)) for k, i in _windows(lo, hi - lo)]
     ns, taus, sgs = map(np.concatenate, zip((ns, tus, sgs), *leaves))
     tf = _theta_floors(rule, x, ns, sgs)

@@ -120,14 +120,16 @@ class TestMemberBudget:
     CASES = [
         ["enumerate", "practical", "--x", str(X)],
         ["verify", "L", "--theta", "practical", "--n", str(X)],
+        ["verify", "ctheta", "--theta", "practical", "--n", str(X), "--count-x", "1000"],
     ]
+    IDS = ["enumerate", "verify-L", "verify-ctheta"]
 
     @staticmethod
     def _members():
         (st,) = theta.chain_stats_multi(theta.ThetaRule.practical(), [TestMemberBudget.X])
         return st.count
 
-    @pytest.mark.parametrize("argv", CASES, ids=["enumerate", "verify-L"])
+    @pytest.mark.parametrize("argv", CASES, ids=IDS)
     def test_over_budget_is_usage_error(self, argv, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(theta, "MEMBER_LIMIT", self._members() - 1)
         code, out, err = run(argv, capsys)
@@ -139,7 +141,7 @@ class TestMemberBudget:
         assert run([*argv, "--out", str(path)], capsys)[0] == 2
         assert path.read_bytes() == b"keep\n"
 
-    @pytest.mark.parametrize("argv", CASES, ids=["enumerate", "verify-L"])
+    @pytest.mark.parametrize("argv", CASES, ids=IDS)
     def test_count_at_budget_passes(self, argv, capsys, monkeypatch):
         monkeypatch.setattr(theta, "MEMBER_LIMIT", self._members())
         code, out, _ = run(argv, capsys)

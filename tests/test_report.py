@@ -276,6 +276,24 @@ class TestSeriesEngine:
             tracemalloc.stop()
         assert peak < 10 << 20
 
+    def test_refused_past_budget_without_the_records(self, monkeypatch):
+        # the count of B(1e9) passes the budget within its first parents; keeping all
+        # 779,659 parent records (40 bytes each) before counting would peak near 60 MiB
+        import tracemalloc
+
+        from divmean import theta
+        from divmean.errors import ResourceError
+
+        monkeypatch.setattr(theta, "MEMBER_LIMIT", 10**5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="^64782731 chain members exceed budget 100000$"):
+                R.c_theta_breakdown(ThetaRule.practical(), 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
 
 class TestFigures:
     def test_fig1_start_and_convergence(self):

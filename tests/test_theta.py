@@ -22,6 +22,7 @@ from divmean.theta import (
     ThetaRule,
     _blocks,
     _primes_for_rule,
+    _records,
     _rough_sums,
     _walk,
     b_rows,
@@ -54,8 +55,8 @@ B_DENSE2_20 = [1, 2, 4, 6, 8, 12, 16, 18, 20]
 _ROOT = np.array([[1], [1], [1], [0]], dtype=np.int64)  # the walk's first block: n = 1
 
 
-def _records(rule, x):  # B(x)'s parent records (n, sigma, tau, lo, hi) as one (5, k) array
-    return np.concatenate([rec for rec, _ in _walk(rule, x)[1]], axis=1)
+def _record_array(rule, x):  # B(x)'s parent records (n, sigma, tau, lo, hi) as one (5, k) array
+    return np.concatenate(_records(rule, x)[1], axis=1)
 
 
 class TestMembership:
@@ -121,7 +122,7 @@ class TestGenerate:
             generate_B(ThetaRule.practical(), 0)
 
     def test_refused_before_any_member_is_kept(self, monkeypatch):
-        # the count walk reads leaf slices only; B(1e7)'s 829,157 members alone take 6.3 MiB
+        # the counted walk keeps parent records only; B(1e7)'s 829,157 members alone take 6.3 MiB
         rule = ThetaRule.practical()
         count = practical_stats(10**7).count
         monkeypatch.setattr("divmean.theta.MEMBER_LIMIT", count - 1)
@@ -133,6 +134,14 @@ class TestGenerate:
         finally:
             tracemalloc.stop()
         assert peak < 5 << 20
+
+    def test_one_walk(self, monkeypatch):
+        # the counted walk's parent records give every member; no second walk fills them
+        calls, walk = [], _walk
+        monkeypatch.setattr("divmean.theta._walk", lambda *a: calls.append(a) or walk(*a))
+        rule = ThetaRule.practical()
+        assert generate_B(rule, 30).tolist() == B_PRACTICAL_30
+        assert calls == [(rule, 30)]
 
     def test_no_duplicates(self):
         # generate_B sorts parents and leaves together without dropping repeats
@@ -147,7 +156,7 @@ class TestGenerate:
             assert got == want
 
     def test_sigma_tau_carried_exactly(self, spf_1e5):
-        recs = _records(ThetaRule.practical(), 3000)
+        recs = _record_array(ThetaRule.practical(), 3000)
         for n, sg, tu, _lo, _hi in recs.T.tolist():
             assert sg == sigma(n, spf_1e5)
             assert tu == tau(n, spf_1e5)
@@ -453,7 +462,7 @@ class TestCountingIdentity:
         # a float t takes the one-Python-call-per-member floor path; the inner
         # sums read the walk's caps, so theta is evaluated once per parent
         rule, x = ThetaRule.dense(2.1), 10**5
-        parents = _records(rule, x)[0].tolist()
+        parents = _record_array(rule, x)[0].tolist()
         calls, floor = [], ThetaRule.theta_floor
         monkeypatch.setattr(
             ThetaRule, "theta_floor", lambda self, n, sg=None: calls.append(n) or floor(self, n, sg)
@@ -653,7 +662,7 @@ class TestBlockWalk:
         rule = GATE_RULES[name]()
         pl = _primes_for_rule(rule, x)
         want = sorted(_reference_parents(rule, x, pl.primes.tolist(), pl.limit))
-        assert sorted(map(tuple, _records(rule, x).T.tolist())) == want
+        assert sorted(map(tuple, _record_array(rule, x).T.tolist())) == want
 
     def test_squares_of_listed_primes_fit_int64(self):
         # the walk's leaf cut reads parr * parr in int64; every listed prime is below the budget
@@ -666,7 +675,7 @@ class TestBlockWalk:
         # walked in blocks of at most 7 parents, and a window may split one
         # parent's child or leaf slice
         rule, x, cuts = GATE_RULES[name](), 10**5, [10, 999, 10**5]
-        want = sorted(map(tuple, _records(rule, x).T.tolist()))
+        want = sorted(map(tuple, _record_array(rule, x).T.tolist()))
         want_stats, want_B = chain_stats_multi(rule, cuts), generate_B(rule, x)
         monkeypatch.setattr("divmean._util.CHUNK", 7)
         pl = _primes_for_rule(rule, x)
