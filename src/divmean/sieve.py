@@ -1,14 +1,16 @@
-"""One odd-only sieve, the prime list, the factorisation table, and one exact sum.
+"""One segmented odd-only sieve, the prime list, the factorisation table, and one exact sum.
 
 Chain enumeration, rough-number statistics and Mertens products sit on
-odd_sieve, the segmented ones on odd_blocks.  No command builds the
-smallest-prime-factor table; the tests' factorisation oracles read it.
+odd_blocks, the one strike loop: the prime list joins its blocks' primes.  No
+command builds the smallest-prime-factor table; the tests' factorisation
+oracles read it.
 ExactSum takes the float sums that are results: the Mertens product at one
 cutoff, the rough harmonic sum and the series' terms.  prime_walk's prefix
 sums over the primes are longdouble cumulative sums in ascending order.
 """
 
 import math
+from bisect import bisect_right
 from math import isqrt
 
 import numpy as np
@@ -16,13 +18,13 @@ import numpy as np
 from .errors import RangeError, ResourceError
 
 # sieve entries, not bytes: at the cap 0.5 GiB for the int32 spf table and
-# 64 MiB for the odd-only bool prime sieve
+# 58 MiB for the int64 prime list, whose sieve holds one block's mask at a time
 DEFAULT_SPF_BUDGET = 1 << 27
 # prime_walk holds one block's mask and one sub-block's sums at a time, so this
 # bounds its time (about 40 s), not its memory; the practical series reach it
 # between N = 1.69e9 and 1.7e9
 PRIME_WALK_LIMIT = 1 << 33
-_BLOCK = 1 << 20  # odd numbers struck at a time by prime_walk and the rough sieve (a 1 MB mask)
+_BLOCK = 1 << 20  # odd numbers struck at a time by odd_blocks (a 1 MB mask)
 _SUB = 1 << 18  # odd numbers per sub-block of prime_walk; min(_SUB, _BLOCK) must divide _BLOCK
 _BINS = 2098  # frexp exponents of finite doubles, -1073 ... 1024
 
@@ -112,37 +114,13 @@ class PrimeList:
         if y > self.limit:
             raise RangeError(f"y={y} beyond prime list limit {self.limit}")
         k = int(np.searchsorted(self.primes, math.floor(y), side="right"))
-        if k == 0:
-            return 1.0
         terms = np.log1p(-1.0 / self.primes[:k].astype(np.float64))
         return math.exp(ExactSum().add(terms).value())
 
 
-def odd_sieve(limit, bound, lo=0, out=None):
-    """Bool mask over the odd numbers: entry i stands for lo + 2*i + 1 <= limit, lo even.
-
-    Each odd prime p <= bound strikes its odd multiples from p*p on, so what
-    survives is 1, the odd primes, and the odd numbers with no prime factor
-    <= bound.  No p above isqrt(limit) strikes, so bound is cut to it.  Every
-    block, the one from 0 too, takes those primes from a sieve of 0 to bound.
-    Given out, of at least as many entries, the mask is its head, overwritten.
-    """
-    bound = min(bound, isqrt(limit))
-    size = (limit - lo + 1) // 2
-    odd = np.empty(size, dtype=bool) if out is None else out[:size]
-    odd.fill(True)
-    base = np.flatnonzero(odd_sieve(bound, isqrt(bound)))[1:].tolist() if bound > 2 else []
-    for i in base:
-        p = 2 * i + 1
-        # from p*p, or below lo from k = (lo+1)(p-1)/2 mod p: lo + 2k + 1 = 0 mod p
-        q = p * p
-        odd[(q - lo - 1) // 2 if q > lo else (lo + 1) * (p - 1) // 2 % p :: p] = False
-    return odd
-
-
 def build_prime_list(limit):
     _check_sieve(limit, "prime sieve")
-    primes = (np.flatnonzero(odd_sieve(limit, isqrt(limit))) * 2 + 1).astype(np.int64, copy=False)
+    primes = np.concatenate([np.flatnonzero(m) * 2 + lo + 1 for lo, m in odd_blocks(limit, limit)])
     primes[0] = 2  # 1 survives the sieve; 2 takes its place
     return PrimeList(primes, limit)
 
@@ -150,7 +128,7 @@ def build_prime_list(limit):
 def prime_walk(top, *terms):
     """Sub-blocks (lo, primes, cums) of the primes up to top, lo = 0, span, 2*span, ...
 
-    odd_sieve strikes _BLOCK odd numbers at a time, and each block is read in
+    odd_blocks strikes _BLOCK odd numbers at a time, and each block is read in
     sub-blocks of span = _span() numbers.  Per f of terms, cum[i] is the
     longdouble sum of f over the primes below primes[i], carried from sub-block
     to sub-block, so cum[searchsorted(primes, y, "right")] has the bits of one
@@ -163,17 +141,29 @@ def prime_walk(top, *terms):
 
 
 def odd_blocks(top, bound):
-    """(lo, odd_sieve(last, bound, lo)) per block of _BLOCK odd numbers up to top, lo = 0,
-    2*_BLOCK, ...  Every block refills one buffer, so a mask is valid only until the next."""
+    """(lo, mask) per block of _BLOCK odd numbers up to top, lo = 0, 2*_BLOCK, ...; entry i
+    stands for lo + 2*i + 1.  Each odd prime p <= bound strikes its odd multiples from p*p
+    on, so 1, the odd primes and the odd numbers with no prime factor <= bound survive.
+    The walk lists the primes up to min(bound, isqrt(top)) once, and a block strikes with
+    those up to the root of its end.  Every block refills one buffer, so a mask is valid
+    only until the next."""
+    bound = min(bound, isqrt(top))
+    base = build_prime_list(bound).primes[1:].tolist() if bound > 2 else []
     buf = np.empty(min(_BLOCK, (top + 1) // 2), dtype=bool)
     for lo in range(0, top + 1, 2 * _BLOCK):
-        yield lo, odd_sieve(min(lo + 2 * _BLOCK - 1, top), bound, lo, out=buf)
+        last = min(lo + 2 * _BLOCK - 1, top)
+        odd = buf[: (last - lo + 1) // 2]
+        odd.fill(True)
+        for p in base[: bisect_right(base, isqrt(last))]:
+            # from p*p, or below lo from k = (lo+1)(p-1)/2 mod p: lo + 2k + 1 = 0 mod p
+            odd[(p * p - lo - 1) // 2 if p * p > lo else (lo + 1) * (p - 1) // 2 % p :: p] = False
+        yield lo, odd
 
 
 def _sub_blocks(top, terms):
     sub, carry = _span() // 2, [0.0] * len(terms)
     cums = pf = np.empty((len(terms), 0))  # one set of buffers, grown as a sub-block needs
-    for lo, odd in odd_blocks(top, isqrt(top)):  # odd_sieve cuts it to each block's root
+    for lo, odd in odd_blocks(top, top):
         for s in range(0, min(_BLOCK, (top - lo) // 2 + 1), sub):  # an even top adds an empty one
             ps = np.flatnonzero(odd[s : s + sub]) * 2 + (lo + 2 * s + 1)
             if lo + s == 0:

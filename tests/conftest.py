@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 from pathlib import Path
@@ -109,24 +108,24 @@ def prime_sums():
 
 @pytest.fixture(scope="session")
 def rough_reference():
-    """(members, Phi, S, harmonic) of the y-rough n <= x, from one mask over every odd n <= x.
+    """(members, Phi, S, harmonic) of the y-rough n <= x, from one plain integer sieve.
 
-    The reference for the segmented rough path: the single mask, the prefix
-    counts at the ends (x//a + 1)//2 for the rough a <= sqrt(x) read off that
-    mask's own prefix, and math.fsum of the reciprocals over the mask.
+    The reference for the segmented rough path, sharing no code with divmean:
+    each prime p <= y, found as the sieve reaches it, strikes p, 2p, ... <= x
+    from a mask over every n <= x.  S counts the pairs a*b <= x of members,
+    from a prefix count read at x // a for every member a, and math.fsum takes
+    the reciprocals.
     """
-    from divmean.sieve import odd_sieve
 
     def stats(x, y):
-        yf = min(math.floor(y), x)
-        odd = odd_sieve(x, min(yf, math.isqrt(x)))
-        odd[1 : (yf + 1) // 2] = False  # 3, 5, ..., y: each has a factor <= y
-        small = np.flatnonzero(odd[: (math.isqrt(x) + 1) // 2]) * 2 + 1
-        ends = [0] + ((x // small[::-1] + 1) // 2).tolist()  # the last is len(odd)
-        segs = (np.count_nonzero(odd[i:j]) for i, j in zip(ends, ends[1:]))
-        counts = list(itertools.accumulate(segs))
-        harm = math.fsum((1.0 / (2 * np.flatnonzero(odd) + 1)).tolist())
-        members = np.flatnonzero(odd) * 2 + 1
-        return members, int(counts[-1]), 2 * int(sum(counts)) - len(small) ** 2, harm
+        rough = np.ones(x + 1, dtype=bool)
+        rough[0] = False
+        for p in range(2, min(math.floor(y), x) + 1):
+            if rough[p]:  # no smaller prime divides p
+                rough[p::p] = False
+        members = np.flatnonzero(rough)
+        below = np.cumsum(rough)  # below[m]: the members <= m
+        harm = math.fsum((1.0 / members).tolist())
+        return members, len(members), int(below[x // members].sum()), harm
 
     return stats

@@ -318,9 +318,9 @@ class TestVerify:
 
     def test_series_ladder_walks_once(self, capsys, monkeypatch):
         # the cutoffs share one walk of B(N), whose parent records give every
-        # row, and never b_rows; the Mertens sums build no prime list and
-        # strike with the primes up to sqrt(theta)
-        calls = {"b_rows": [], "_walk": [], "build_prime_list": [], "odd_sieve": []}
+        # row, and never b_rows; the Mertens sums strike with the primes up to
+        # sqrt(theta), from a list of no more than those
+        calls = {"b_rows": [], "_walk": [], "build_prime_list": [], "odd_blocks": []}
 
         def recorded(mod, name):
             fn = getattr(mod, name)
@@ -339,7 +339,7 @@ class TestVerify:
         # report reads sieve.build_prime_list through the module; theta holds its own name
         for mod in (sieve, theta):
             recorded(mod, "build_prime_list")
-        recorded(sieve, "odd_sieve")
+        recorded(sieve, "odd_blocks")
         for n, cutoffs in ((100000, 3), (1, 1)):
             for key in calls:
                 calls[key].clear()
@@ -348,13 +348,14 @@ class TestVerify:
             assert len(out.splitlines()) == cutoffs + 2
             assert calls["b_rows"] == []
             assert [x for _, (_, x), _ in calls["_walk"]] == [n]
-            # theta's list serves the walk; the Mertens side builds none
-            assert [mod for mod, _, _ in calls["build_prime_list"]] == ["divmean.theta"]
-            # and sieves one block at a time, striking with the primes up to sqrt(theta)
-            assert calls["odd_sieve"]
-            for _, (limit, bound, *lo), _ in calls["odd_sieve"]:
-                assert bound <= math.isqrt(tops[n])
-                assert limit - sum(lo) < 2 * sieve._BLOCK
+            # theta's list serves the walk; the sieve side lists only striking primes
+            assert [mod for mod, _, _ in calls["build_prime_list"]].count("divmean.theta") == 1
+            for mod, (limit,), _ in calls["build_prime_list"]:
+                assert mod == "divmean.theta" or limit <= math.isqrt(tops[n])
+            # and every block strikes with the primes up to sqrt(theta)
+            assert calls["odd_blocks"]
+            for _, (top, bound), _ in calls["odd_blocks"]:
+                assert min(bound, math.isqrt(top)) <= math.isqrt(tops[n])
 
     def test_series_n_1_prints_one_row(self, capsys):
         # every rung of the ladder is capped at --n

@@ -13,7 +13,6 @@ from divmean.sieve import (
     PRIME_WALK_LIMIT,
     build_prime_list,
     build_spf_table,
-    odd_sieve,
 )
 from divmean.theta import ThetaRule, b_rows
 from oracles.checks import divisors_sorted, sigma, smallest_prime_factor, tau
@@ -202,7 +201,7 @@ def _plain_sieve(limit):
     return np.flatnonzero(comp)
 
 
-def test_odd_sieve_matches_plain_sieve():
+def test_odd_blocks_match_plain_sieve(monkeypatch):
     ref = _plain_sieve(10**6)
     limits = list(range(2, 3001))
     for p in ref[ref <= 1000].tolist():
@@ -212,21 +211,48 @@ def test_odd_sieve_matches_plain_sieve():
         want = ref[: np.searchsorted(ref, limit, side="right")]
         assert got.primes.dtype == np.int64
         assert np.array_equal(got.primes, want), limit
-    # blocks (lo, limit] from even offsets, some starting or ending on a p*p, struck
-    # by the odd primes up to bounds below and above sqrt(limit): the survivors
-    # are the primes and the numbers with no odd prime factor <= bound
-    blocks = [(0, 1), (0, 2), (0, 1000), (2, 99), (48, 49), (120, 169), (168, 289),
-              (1000, 2209), (9408, 10201), (10**5, 10**5 + 5001), (999_000, 10**6)]
-    buf = np.zeros(2501, dtype=bool)  # one buffer, refilled by every block as the walks do
-    for lo, limit in blocks:
-        n = np.arange(lo + 1, limit + 1, 2)
-        r = math.isqrt(limit)
-        for bound in (1, 3, 10, r - 1, r, r + 1, 3 * r + 5):
+    # blocks of a few odd numbers, some starting or ending on a p*p, struck by the
+    # odd primes up to bounds below and above sqrt(top): the survivors are the
+    # primes and the numbers with no odd prime factor <= bound.  A bound past
+    # sqrt(top), as top 10 with bound 20, once raised IndexError
+    for top in (1, 2, 10, 49, 99, 169, 290, 897, 1000, 2209, 10201):
+        r, n = math.isqrt(top), np.arange(1, top + 1, 2)
+        prime = np.isin(n, ref)
+        for bound in (1, 3, 10, r - 1, r, r + 1, 3 * r + 5, 20):
             small = ref[(ref > 2) & (ref <= bound)]
-            want = np.isin(n, ref) | np.all(n[:, None] % small != 0, axis=1)
-            assert np.array_equal(odd_sieve(limit, bound, lo), want), (lo, limit, bound)
-            got = odd_sieve(limit, bound, lo, out=buf)
-            assert np.shares_memory(got, buf) and np.array_equal(got, want), (lo, limit, bound)
+            want = prime | np.all(n[:, None] % small != 0, axis=1)
+            for block in (1, 2, 7, 64):
+                monkeypatch.setattr(sieve, "_BLOCK", block)
+                los, buf = [], None
+                for lo, odd in sieve.odd_blocks(top, bound):
+                    assert np.array_equal(odd, want[lo // 2 : lo // 2 + block]), (block, top, bound, lo)
+                    buf = odd.base if buf is None else buf
+                    assert odd.base is buf  # every block refills one buffer
+                    los.append(lo)
+                assert los == list(range(0, top + 1, 2 * block)), (block, top, bound)
+    # a prime list joined from 500 blocks, struck from offsets far past p*p
+    monkeypatch.setattr(sieve, "_BLOCK", 1000)
+    assert np.array_equal(build_prime_list(10**6).primes, ref)
+
+
+def test_odd_blocks_list_their_striking_primes_once(monkeypatch):
+    # 782 blocks share one list of the primes up to 316; the lists that list is
+    # sieved from are made inside it, so only the calls from outside are counted
+    monkeypatch.setattr(sieve, "_BLOCK", 64)
+    made, depth, real = [], [0], sieve.build_prime_list
+
+    def listed(limit):
+        if not depth[0]:
+            made.append(limit)
+        depth[0] += 1
+        try:
+            return real(limit)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(sieve, "build_prime_list", listed)
+    assert len(list(sieve.odd_blocks(10**5, 316))) == 782
+    assert len(made) == 1 and made[0] <= 316, made
 
 
 def test_sorted_pi_lookup_matches_unsorted(primes_1e5, rng, prime_sums):
