@@ -102,9 +102,7 @@ def _rough_terms(x, y):
         raise RangeError(f"x must be >= 1, got {x}")
     if y < 2:
         raise RangeError(f"y must be >= 2, got {y}")
-    ly = math.log(y)
-    # a fractional y needs primes up to ceil(y)
-    pi_y = sieve.build_prime_list(max(2, math.ceil(y))).mertens(y)
+    ly, pi_y = math.log(y), sieve.mertens(y)  # refused past its budget before the bundle loads
     return funcs.get_bundle(), ly, math.log(x) / ly, pi_y
 
 

@@ -1,16 +1,17 @@
 """One segmented odd-only sieve, the prime list, the factorisation table, and one exact sum.
 
-Chain enumeration, rough-number statistics and Mertens products sit on
-odd_blocks, the one strike loop: the prime list joins its blocks' primes.  No
-command builds the smallest-prime-factor table; the tests' factorisation
-oracles read it.
-ExactSum takes the float sums that are results: the Mertens product at one
-cutoff, the rough harmonic sum and the series' terms.  prime_walk's prefix
-sums over the primes are longdouble cumulative sums in ascending order.
+odd_blocks is the one strike loop, under chain enumeration and the rough
+statistics; _sub_block_primes reads the primes from it a sub-block at a time
+for the prime list, the Mertens product and prime_walk.  No command builds the
+smallest-prime-factor table; the tests' factorisation oracles read it.
+ExactSum takes the float sums that are results, a sub-block's primes or a
+window at a time: the Mertens product, the rough harmonic sum and the series' terms;
+prime_walk's prefix sums over the primes are ascending longdouble cumsums.
 """
 
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from math import isqrt
 
 import numpy as np
@@ -25,36 +26,40 @@ DEFAULT_SPF_BUDGET = 1 << 27
 # between N = 1.69e9 and 1.7e9
 PRIME_WALK_LIMIT = 1 << 33
 _BLOCK = 1 << 20  # odd numbers struck at a time by odd_blocks (a 1 MB mask)
-_SUB = 1 << 18  # odd numbers per sub-block of prime_walk; min(_SUB, _BLOCK) must divide _BLOCK
+_SUB = 1 << 18  # odd numbers per sub-block of primes; min(_SUB, _BLOCK) must divide _BLOCK
 _BINS = 2098  # frexp exponents of finite doubles, -1073 ... 1024
 
 
-def _span():  # numbers spanned by one sub-block of prime_walk; a _BLOCK below _SUB clamps it
+def _span():  # numbers spanned by one sub-block of primes; a _BLOCK below _SUB clamps it
     return 2 * min(_SUB, _BLOCK)
 
 
 class ExactSum:
     """math.fsum of the float64 arrays added, in any order and split, per tag 0, 1, ...
 
-    add(values, tags) takes one int or an int array like values as the tags.  A finite
-    value is m * 2**(e - 53) (frexp) with an integer |m| < 2**53, cut into a high and a low
-    27-bit half; each half is summed per (tag, e) by bincount into int64 counters.  value(k)
-    adds the counters of tags 0 ... k as one integer over 2**1126 and rounds once, so it has
-    the bits of math.fsum, OverflowError included.
+    add(values, tags) takes one int or an int array like values as the tags, and at most
+    2**26 values a call, the count at which bincount's float64 sums stay exact.  A finite
+    value is m * 2**(e - 53) (frexp) with an integer |m| < 2**53, cut as floats into a high
+    half floor(m / 2**27) and a low half, its remainder below 2**27; each half is summed per
+    (tag, e) by bincount into int64 counters.  value(k) adds the counters of tags 0 ... k
+    as one integer over 2**1126 and rounds once, so it has the bits of math.fsum,
+    OverflowError included.
     """
 
     def __init__(self, tags=1):
         self.counts = np.zeros((2, tags * _BINS), dtype=np.int64)
 
     def add(self, values, tags=0):
-        bins = np.broadcast_to(np.asarray(tags, dtype=np.intp) * _BINS + 1073, values.shape)
-        for s in range(0, values.size, 1 << 26):  # bincount's float64 sums stay exact
-            m, e = np.frexp(values[s : s + (1 << 26)])
-            if not np.isfinite(m).all():
-                raise ValueError("ExactSum adds finite values only")
-            m = (m * 2.0**53).astype(np.int64)
-            for c, h in zip(self.counts, (m >> 27, m & (1 << 27) - 1)):  # high and low halves
-                c += np.bincount(bins[s : s + (1 << 26)] + e, h, minlength=c.size).astype(np.int64)
+        if values.size > 1 << 26:
+            raise ValueError(f"ExactSum adds at most 2**26 values at a time, got {values.size}")
+        m, e = np.frexp(values)
+        if not np.isfinite(m).all():
+            raise ValueError("ExactSum adds finite values only")
+        hi = np.floor(np.multiply(m, 2.0**26, out=m))  # all exact: m*2**53 = hi*2**27 + lo
+        m -= hi
+        bins = np.asarray(tags, dtype=np.intp) * _BINS + 1073 + e
+        for c, h in zip(self.counts, (hi, np.multiply(m, 2.0**27, out=m))):
+            c += np.bincount(bins, h, minlength=c.size).astype(np.int64)
         return self
 
     def value(self, upto=0):
@@ -64,14 +69,10 @@ class ExactSum:
         return sum(((h << 27) + l) << k for k, h, l in zip(e.tolist(), hi, lo)) / (1 << 1126)
 
 
-class SpfTable:
-    """spf[n] = smallest prime factor of n for 2 <= n <= limit; spf[0]=spf[1]=0."""
-
-    __slots__ = ("limit", "spf")
-
-    def __init__(self, limit, spf):
-        self.limit = limit
-        self.spf = spf
+# spf[n] = smallest prime factor of n for 2 <= n <= limit; spf[0] = spf[1] = 0
+SpfTable = namedtuple("SpfTable", "limit spf")
+# all primes <= limit, ascending
+PrimeList = namedtuple("PrimeList", "primes limit")
 
 
 def _check_sieve(limit, what):
@@ -98,31 +99,22 @@ def build_spf_table(limit):
     return SpfTable(limit, spf)
 
 
-class PrimeList:
-    """All primes <= limit, with the Mertens product at one cutoff; prime_walk takes many."""
-
-    __slots__ = ("primes", "limit")
-
-    def __init__(self, primes, limit):
-        self.primes = primes
-        self.limit = limit
-
-    def mertens(self, y):
-        """prod_{p<=y} (1 - 1/p), exactly-rounded log accumulation."""
-        if y < 0:
-            raise RangeError(f"y must be >= 0, got {y}")
-        if y > self.limit:
-            raise RangeError(f"y={y} beyond prime list limit {self.limit}")
-        k = int(np.searchsorted(self.primes, math.floor(y), side="right"))
-        terms = np.log1p(-1.0 / self.primes[:k].astype(np.float64))
-        return math.exp(ExactSum().add(terms).value())
-
-
 def build_prime_list(limit):
     _check_sieve(limit, "prime sieve")
-    primes = np.concatenate([np.flatnonzero(m) * 2 + lo + 1 for lo, m in odd_blocks(limit, limit)])
-    primes[0] = 2  # 1 survives the sieve; 2 takes its place
-    return PrimeList(primes, limit)
+    return PrimeList(np.concatenate([ps for _, ps in _sub_block_primes(limit)]), limit)
+
+
+def mertens(y):
+    """prod_{p<=y} (1 - 1/p) by one exact sum of log1p(-1/p), a sub-block's primes at a time;
+    refused where a prime list to ceil(y) is, though it holds no list."""
+    if y < 0:
+        raise RangeError(f"y must be >= 0, got {y}")
+    _check_sieve(max(2, math.ceil(y)), "prime sieve")
+    acc = ExactSum()
+    if y >= 2:
+        for _, ps in _sub_block_primes(math.floor(y)):
+            acc.add(np.log1p(-1.0 / ps))
+    return math.exp(acc.value())
 
 
 def prime_walk(top, *terms):
@@ -160,20 +152,28 @@ def odd_blocks(top, bound):
         yield lo, odd
 
 
-def _sub_blocks(top, terms):
-    sub, carry = _span() // 2, [0.0] * len(terms)
-    cums = pf = np.empty((len(terms), 0))  # one set of buffers, grown as a sub-block needs
+def _sub_block_primes(top):
+    """(lo, primes) per sub-block of span = _span() numbers up to top, lo = 0, span, ...: the
+    primes in [lo, lo + span).  An even top ends with an empty one at lo = top."""
+    sub = _span() // 2
     for lo, odd in odd_blocks(top, top):
-        for s in range(0, min(_BLOCK, (top - lo) // 2 + 1), sub):  # an even top adds an empty one
+        for s in range(0, min(_BLOCK, (top - lo) // 2 + 1), sub):
             ps = np.flatnonzero(odd[s : s + sub]) * 2 + (lo + 2 * s + 1)
             if lo + s == 0:
-                ps[:1] = 2  # 1 survives the sieve; 2 takes its place
-            k = ps.size
-            if cums.shape[1] <= k:
-                cums, pf = np.empty((len(terms), k + 1), dtype=np.longdouble), np.empty(k)
-            pf[:k] = ps
-            for j, (f, cum) in enumerate(zip(terms, cums[:, : k + 1])):
-                cum[0] = carry[j]
-                cum[1:] = f(pf[:k])
-                carry[j] = np.cumsum(cum, out=cum)[-1]
-            yield lo + 2 * s, ps, cums[:, : k + 1]
+                ps[:1] = 2  # 1 survives the strike; 2 takes its place
+            yield lo + 2 * s, ps
+
+
+def _sub_blocks(top, terms):
+    carry = [0.0] * len(terms)
+    cums = pf = np.empty((len(terms), 0))  # one set of buffers, grown as a sub-block needs
+    for lo, ps in _sub_block_primes(top):
+        k = ps.size
+        if cums.shape[1] <= k:
+            cums, pf = np.empty((len(terms), k + 1), dtype=np.longdouble), np.empty(k)
+        pf[:k] = ps
+        for j, (f, cum) in enumerate(zip(terms, cums[:, : k + 1])):
+            cum[0] = carry[j]
+            cum[1:] = f(pf[:k])
+            carry[j] = np.cumsum(cum, out=cum)[-1]
+        yield lo, ps, cums[:, : k + 1]

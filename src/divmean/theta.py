@@ -268,15 +268,16 @@ def _rough_sums(x, y, harmonic):
 
     Divisors of rough numbers are rough, so S counts the pairs a*b <= x of
     members: those with a <= sqrt(x), twice, less those with both <= sqrt(x).
-    One pass over the blocks keeps a running count of members, read at the end
-    (x//a + 1)//2 of each a's odd numbers; an exact sum takes the reciprocals as it goes.
+    One pass over the blocks reads those a first, then keeps a running count of
+    members, read at the end (x//a + 1)//2 of each a's odd numbers, past every
+    such a; an exact sum takes the reciprocals as it goes.
     """
-    blocks = _rough_blocks(x, y)
-    # the rough a <= sqrt(x), by a sieve of their own; not rough_members, which perfbench spans
-    small = np.concatenate(list(rough_member_blocks(isqrt(x), y)))
-    ends = ((x // small[::-1] + 1) // 2).tolist()  # the last, (x + 1)//2, ends the pass
-    counts, harm, k, c = [], sieve.ExactSum(), 0, 0
-    for i, odd in blocks:
+    head = (isqrt(x) + 1) // 2  # the odd numbers <= sqrt(x), before every end
+    ends, counts, harm, k, c = [], [], sieve.ExactSum(), 0, 0
+    for i, odd in _rough_blocks(x, y):
+        if i < head:  # a larger a ends earlier; the last end, (x + 1)//2, ends the pass
+            a = np.flatnonzero(odd[: head - i])[::-1] * 2 + (2 * i + 1)
+            ends[:0] = ((x // a + 1) // 2).tolist()
         j = 0
         while k < len(ends) and ends[k] - i <= odd.size:
             c += int(np.count_nonzero(odd[j : ends[k] - i]))
@@ -286,7 +287,7 @@ def _rough_sums(x, y, harmonic):
         c += int(np.count_nonzero(odd[j:]))
         for s in range(0, odd.size if harmonic else 0, _util.CHUNK):
             harm.add(1.0 / (2 * (np.flatnonzero(odd[s : s + _util.CHUNK]) + i + s) + 1))
-    return counts[-1], 2 * sum(counts) - len(small) ** 2, harm.value() if harmonic else 0.0
+    return counts[-1], 2 * sum(counts) - len(ends) ** 2, harm.value() if harmonic else 0.0
 
 
 def rough_stats(x, y):

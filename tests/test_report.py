@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from divmean import report as R
+from divmean import sieve
 from divmean.errors import RangeError
 from divmean.funcs import EXP_NEG_2GAMMA, EXP_NEG_GAMMA, get_bundle
-from divmean.sieve import build_prime_list
 from divmean.theta import ThetaRule, b_rows
 
 
@@ -29,7 +29,7 @@ class TestEstimates:
         # correction applies, so the estimate is the bare main terms
         x, y = 50, 97
         u = math.log(x) / math.log(y)
-        pi_y = build_prime_list(y).mertens(y)
+        pi_y = sieve.mertens(y)
         want = (
             1.0
             + x * math.log(x) * pi_y**2
@@ -38,6 +38,22 @@ class TestEstimates:
         got = R.estimate_S(x, y)
         assert got == pytest.approx(want, rel=1e-12)
         assert abs(got - 1.0) < 0.2  # exact tau sum is 1 (only n=1)
+
+    def test_compare_rough_holds_no_prime_list(self):
+        # the Mertens product takes a sub-block's primes at a time (about 3 MiB
+        # in all): a list of the 564,163 primes to 2^23 and one exact sum over
+        # all of them peaked at 32 MiB.  The tables are built first
+        import tracemalloc
+
+        R.compare_rough(10**4, 10**2)
+        R._rough_terms.cache_clear()
+        tracemalloc.start()
+        try:
+            R.compare_rough(2**24, 2**23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_envelope_at_desk_scale(self):
         for row in R.compare_rough(10**6, 100):

@@ -149,33 +149,50 @@ def _shared_table():
     return _TABLE
 
 
-def test_mertens_examples(primes_1e5):
-    assert primes_1e5.mertens(1) == 1.0
-    assert primes_1e5.mertens(2) == 0.5
-    assert abs(primes_1e5.mertens(10) - 8 / 35) < 1e-14
-    assert abs(primes_1e5.mertens(10.9) - 8 / 35) < 1e-14
+def test_mertens_examples():
+    assert sieve.mertens(1) == 1.0
+    assert sieve.mertens(2) == 0.5
+    assert abs(sieve.mertens(10) - 8 / 35) < 1e-14
+    assert abs(sieve.mertens(10.9) - 8 / 35) < 1e-14
 
 
-def test_mertens_range(primes_1e5):
+def test_mertens_range():
     with pytest.raises(RangeError):
-        primes_1e5.mertens(-1)
-    with pytest.raises(RangeError):
-        primes_1e5.mertens(10**5 + 1)
+        sieve.mertens(-1)
+    # refused before any block, as a prime list to ceil(y) would be
+    text = f"^prime sieve of {DEFAULT_SPF_BUDGET + 1} entries exceeds budget {DEFAULT_SPF_BUDGET}$"
+    with pytest.raises(ResourceError, match=text):
+        sieve.mertens(DEFAULT_SPF_BUDGET)
 
 
-def test_mertens_envelope(primes_1e5):
+@pytest.mark.parametrize("block", [None, 1, 7, 64])
+def test_mertens_equals_fsum_of_the_prime_list(block, primes_1e5, monkeypatch):
+    # the product of the sub-blocks' exact sums has the bits of one fsum over the
+    # list, y on and beside the block edges 2*block*k included
+    ys = [0, 1, 1.5, 2, 2.5, 10.9]
+    if block is None:
+        ys.append(10**5)
+    else:
+        monkeypatch.setattr(sieve, "_BLOCK", block)
+        ys += [2 * block * k + d for k in range(1, 12) for d in (-1, 0, 1)]
+    for y in ys:
+        p = primes_1e5.primes[: np.searchsorted(primes_1e5.primes, math.floor(y), side="right")]
+        assert sieve.mertens(y) == math.exp(math.fsum(np.log1p(-1.0 / p))), (block, y)
+
+
+def test_mertens_envelope():
     # product * log y should track e^-gamma within a generous 3/log y band
     for y in (10**3, 10**4, 10**5):
-        got = primes_1e5.mertens(y) * math.log(y)
+        got = sieve.mertens(y) * math.log(y)
         band = 3 / math.log(y)
         assert E_GAMMA * (1 - band) <= got <= E_GAMMA * (1 + band), y
 
 
-def test_mertens_many_matches_scalar(primes_1e5, prime_sums):
+def test_mertens_many_matches_scalar(prime_sums):
     ys = np.array([2.0, 10.0, 97.0, 1000.0, 99991.0])
     (bulk,) = prime_sums(ys, _log_mertens)
     for y, b in zip(ys, np.exp(bulk)):
-        assert abs(b - primes_1e5.mertens(float(y))) < 1e-13
+        assert abs(b - sieve.mertens(float(y))) < 1e-13
 
 
 def test_logp_pm1_identity(prime_sums):
@@ -376,3 +393,18 @@ class TestExactSum:
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError):
                 ExactSum().add(np.array([1.0, bad]))
+
+    def test_add_past_the_bound_raises_before_allocating(self):
+        # one add of 2**26 + 1 values could round inside bincount; the view allocates nothing
+        import tracemalloc
+
+        acc = ExactSum()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most 2\\*\\*26 values"):
+                acc.add(np.broadcast_to(1.0, (1 << 26) + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert acc.add(np.broadcast_to(1.0, 5)).value() == 5.0

@@ -327,6 +327,22 @@ class TestRoughStats:
                 assert rough_stats(x, y) == SeqStats(x, phi, tau_sum, harm), (x, y)
                 assert rough_members(x, y).tolist() == members.tolist(), (x, y)
 
+    def test_rough_pass_walks_the_sieve_once(self, monkeypatch):
+        # the rough a <= sqrt(x) come from the pass's own blocks, not a sieve to sqrt(x)
+        from divmean import sieve
+
+        calls, real = [], sieve.odd_blocks
+
+        def recorded(top, bound):
+            calls.append((top, bound))
+            return real(top, bound)
+
+        monkeypatch.setattr(sieve, "odd_blocks", recorded)
+        x, y = 10**6, 100
+        assert rough_stats(x, y).count == 120_760
+        assert [c for c in calls if c[0] == x] == [(x, y)]
+        assert (math.isqrt(x), y) not in calls
+
     def test_rough_path_holds_one_block(self):
         # the mask over every odd number up to 2^23 would be 4 MB; the blocks
         # hold one sieve block (1 MB) and one chunk of reciprocals
