@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import constants, report, theta
-from ._util import fmt15, write_lines
+from ._util import fmt15
 from .errors import DivmeanError
 
 
@@ -93,15 +93,16 @@ def _cmd_fn(args):
 
 
 def _cmd_enumerate(args):
-    # members (rough: checked arguments) first: a rejected request leaves --out untouched
+    # the counted walk (rough: checked arguments) first: a rejected request leaves --out untouched
     if args.kind == "rough":
         if args.y is None:
             raise DivmeanError("rough enumeration needs --y")
         blocks, what = theta.rough_member_blocks(args.x, args.y), "rough"  # sieved as written
     else:
-        blocks, what = [theta.generate_B(_theta_rule(args.kind, args.t), args.x)], "chain"
+        _, windows = theta.sorted_windows(_theta_rule(args.kind, args.t), args.x, by_theta=False)
+        blocks, what = (w[1] for w in windows), "chain"  # each window written as it is sorted
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        count = sum(write_lines(fh, members) for members in blocks)
+        count = sum(theta.write_lines(fh, members) for members in blocks)
     print(f"enumerated {count} {what} members", file=sys.stderr, flush=True)
     return 0
 

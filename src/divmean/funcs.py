@@ -400,10 +400,6 @@ class FnBundle:
     def ratio(self):
         return self._ratio_tables[0]
 
-    @property
-    def ratio_cum(self):
-        return self._ratio_tables[1]
-
     @cached_property
     def growth(self):
         """lambda, its grid marched row by row as reads reach it.

@@ -180,51 +180,15 @@ def fit_nu_practical(xs):
 
 def _series(rule, x, *terms):
     """(n, tau(n), *sums) per window of at most _util.CHUNK rows of B(x), sums[j][i] the sum of
-    terms[j] over the primes <= floor(theta(n_i)), from the parent records of one counted walk.
-
-    An epoch of prime sub-blocks up to stop takes the parents whose floors lie in it (sorted
-    once) and, from each slice due in it, the next leaves n*p whose key c*(p + d) is at most
-    the limit of rule.leaf_limit(stop, n, sigma(n)).  Keys rise with p, so a prime-count table
-    ends each run, and a slice is due when the key of its next leaf is.  The epoch's rows are
-    sorted by floor once, and each sub-block reads its run of them."""
-    parr, blocks, _ = theta._records(rule, x)
-    ns, sgs, tus, lo, hi = np.concatenate(blocks, axis=1)
-    del blocks  # not held beside their join for the whole series
-    pf, (c, d, _) = theta._theta_floors(rule, x, ns, sgs), rule.leaf_limit(0, ns, sgs)
-    s = np.flatnonzero(hi > lo)  # the parents with a leaf slice
-    last = parr[hi[s] - 1]  # the top floor of a slice is its last leaf's
-    top = theta._theta_floors(rule, x, ns[s] * last, sgs[s] * (last + 1)).max(initial=pf.max())
-    if top >> 63:
-        raise RangeError(f"theta floor {top} beyond int64")
-    walk, span = sieve.prime_walk(int(top), *terms), sieve._span()
-    order = np.argsort(pf, kind="stable")
-    pf, pi = pf[order], np.cumsum(np.bincount(parr))  # pi[v]: the primes <= v
-    key = c[s] * (parr[lo[s]] + d)  # of each slice's next leaf, or finished past every limit
-    by_key = np.argsort(key, kind="stable")  # slices start in this order
-    s, nxt, key, finished = s[by_key], lo[s][by_key], key[by_key], np.iinfo(np.int64).max
-    first, budget, a, stop, width = key.copy(), max(_util.CHUNK, ns.size // 4), 0, 0, 1
-    for base, ps, cums in walk:
-        end = base + span
-        if end > stop:  # an epoch of width sub-blocks: its parents and leaf runs, in floor order
-            stop = base + width * span
-            _, _, limit = rule.leaf_limit(stop, ns, sgs)
-            b = np.searchsorted(pf, stop)
-            due = np.flatnonzero(key[: np.searchsorted(first, limit, "right")] <= limit)
-            p, n0 = s[due], nxt[due]
-            n1 = nxt[due] = np.minimum(pi[np.minimum(limit // c[p] - d, pi.size - 1)], hi[p])
-            fin = n1 == hi[p]
-            key[due] = np.where(fin, finished, c[p] * (parr[n1 - fin] + d))
-            rows = [(ns[order[a:b]], tus[order[a:b]], pf[a:b])]
-            for k, i in theta._windows(n0, n1 - n0):
-                n, q, p1 = ns[p[k]] * parr[i], p[k], parr[i] + 1
-                rows.append((n, 2 * tus[q], theta._theta_floors(rule, x, n, sgs[q] * p1)))
-            n, tau, tf = map(np.concatenate, zip(*rows))
-            del rows  # the windows, now joined
-            k = (tf - base).astype(np.uint64) << 32 | np.arange(n.size, dtype=np.uint64)
-            k.sort()
-            n, tau, tf = n[k & 0xFFFFFFFF], tau[k & 0xFFFFFFFF], (k >> 32).astype(np.int64) + base
-            # the next epoch's width aims at budget rows (a quarter of the parents, or a window)
-            a, j, width = b, 0, max(1, min(2 * width, 4096, width * budget // max(n.size, 1)))
+    terms[j] over the primes <= floor(theta(n_i)).  theta's windows of rows sorted by floor end
+    where prime sub-blocks end; each sub-block reads its run of the window it lies in."""
+    top, windows = theta.sorted_windows(rule, x, by_theta=True)
+    stop = 0
+    for base, ps, cums in sieve.prime_walk(top, *terms):
+        end = base + sieve._span()
+        if end > stop:
+            stop, n, tau, tf = next(windows)
+            j = 0
         i, j = j, np.searchsorted(tf, end)
         for w in range(i, j, _util.CHUNK):
             e = min(w + _util.CHUNK, j)

@@ -11,10 +11,11 @@ its ascending factorization.  Most members are leaves n*p with
 p > sqrt(x/n), which can be extended no further, and for one n their primes
 form a contiguous slice of the prime list.  So a depth-first walk visits
 only the parents (members that are not such leaves), in numpy blocks, and
-handles each leaf slice in bulk: counts and tau sums from its length,
-members and rows as one numpy slice.  All theta comparisons are exact
-integer arithmetic (rational t included), never floating point, so boundary
-ties cannot be misclassified.
+handles each leaf slice in bulk: counts and tau sums from its length.
+sorted_windows is the one engine that lists members: from the parent records
+it makes B(x)'s rows in windows sorted by n (enumerate) or by floor(theta(n))
+(the series).  All theta comparisons are exact integer arithmetic (rational t
+included), never floating point, so boundary ties cannot be misclassified.
 """
 
 import math
@@ -29,8 +30,8 @@ from .errors import RangeError, ResourceError
 from .sieve import build_prime_list
 
 ROUGH_LIMIT = 1 << 27
-# members of B(x), parents and leaves, that _records lets generate_B, b_rows and the series
-# read (about 9 bytes a member listed: enumerate practical at 1e8 peaks 62 MiB above x = 100)
+# members of B(x) that _records lets sorted_windows and b_rows read; enumerate and the series
+# hold the parent records (40 bytes each) and one window of rows (practical 1e8: 45 MB peak)
 MEMBER_LIMIT = 1 << 26
 
 
@@ -76,6 +77,11 @@ class ThetaRule:
         if self.kind == "dense":  # t*n*p < end
             return n, 0, (end * self.t_den - 1) // self.t_num
         return sigma_n, 1, end - 2  # sigma(n)(p+1) + 1 < end
+
+
+_QUADS = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+_QUADS = (_QUADS % 10 + 48).astype(np.uint8).view(np.uint32)[:, 0]  # "0000" .. "9999"
+_POW10 = 10 ** np.arange(1, 19)  # the values with at most j digits are those below _POW10[j - 1]
 
 
 def _primes_for_rule(rule, x):
@@ -180,9 +186,9 @@ def _tally(parr, blocks, cuts):
 
 
 def _records(rule, x):
-    """The prime array of B(x)'s walk, its parent records (n, sigma, tau, lo, hi) in (5, k) blocks
-    and the count of B(x), parents and leaf slices counted as the blocks arrive.  Once the count
-    passes MEMBER_LIMIT no block is kept; the finished count is refused."""
+    """The prime array of B(x)'s walk and its parent records (n, sigma, tau, lo, hi) in (5, k)
+    blocks.  B(x), parents and leaf slices, is counted as the blocks arrive; once the count
+    passes MEMBER_LIMIT no block is kept, and the finished count is refused."""
     parr, blocks = _walk(rule, x)
     kept, count = [], 0
     for recs, _ in blocks:
@@ -193,21 +199,66 @@ def _records(rule, x):
             kept.append(recs)
     if count > MEMBER_LIMIT:
         raise ResourceError(f"{count} chain members exceed budget {MEMBER_LIMIT}")
-    return parr, kept, count
+    return parr, kept
 
 
 def generate_B(rule, x):
-    """Sorted array of B(x): the parents and leaf slices of one counted walk."""
-    parr, blocks, count = _records(rule, x)
-    members, k = np.empty(count, dtype=np.int64), 0
-    for ns, _, _, lo, hi in blocks:
-        members[k : k + len(ns)] = ns
-        k += len(ns)
-        for rep, i in _windows(lo, hi - lo):
-            members[k : k + len(i)] = ns[rep] * parr[i]
-            k += len(i)
-    members.sort()
-    return members
+    """Sorted array of B(x): the windows of one counted walk, keyed by n, joined."""
+    return np.concatenate([w[1] for w in sorted_windows(rule, x, by_theta=False)[1]])
+
+
+def sorted_windows(rule, x, by_theta):
+    """(top, windows): B(x)'s rows from one counted walk's parent records, in windows sorted
+    by key: (stop, n, tau(n), floor(theta(n))) with by_theta, else (stop, n), keyed by n
+    (theta(n) = n: c = n, d = 0).  top is the largest key; the walk, its refusals and top's
+    int64 check run at the call.  A window holds the keys from the last stop to below its own,
+    a multiple of sieve._span(), where prime_walk's sub-blocks end: the parents with such keys
+    (sorted once) and each due slice's next leaves n*p with c*(p + d) <= leaf_limit(stop, n,
+    sigma(n)), a run ended by a prime-count table.  Each next window aims at a quarter of the
+    parents in rows, or one _util.CHUNK, and at most doubles in width."""
+    parr, blocks = _records(rule, x)
+    ns, sgs, tus, lo, hi = np.concatenate(blocks, axis=1)
+    del blocks  # not held beside their join while the windows are read
+    kr = rule if by_theta else ThetaRule("dense", 1, 1, "n")  # theta(n) = n: keyed by n
+    pf, (c, d, _) = _theta_floors(kr, x, ns, sgs), kr.leaf_limit(0, ns, sgs)
+    s = np.flatnonzero(hi > lo)  # the parents with a leaf slice
+    last = parr[hi[s] - 1]  # the top key of a slice is its last leaf's
+    top = int(_theta_floors(kr, x, ns[s] * last, sgs[s] * (last + 1)).max(initial=pf.max()))
+    if top >> 63:
+        raise RangeError(f"theta floor {top} beyond int64")
+    order, pi = np.argsort(pf, kind="stable"), np.cumsum(np.bincount(parr))  # pi[v]: #p <= v
+    s = s[np.argsort(c[s] * (parr[lo[s]] + d), kind="stable")]  # slices in the order they start
+
+    def windows(pf, nxt, key):  # key: of each slice's next leaf, or finished past every limit
+        first, budget, a, stop, width = key.copy(), max(_util.CHUNK, ns.size // 4), 0, 0, 1
+        while stop <= top:
+            base, stop = stop, stop + width * sieve._span()
+            limit, b = kr.leaf_limit(stop, ns, sgs)[2], np.searchsorted(pf, stop)
+            due = np.flatnonzero(key[: np.searchsorted(first, limit, "right")] <= limit)
+            p, n0 = s[due], nxt[due]
+            n1 = nxt[due] = np.minimum(pi[np.minimum(limit // c[p] - d, pi.size - 1)], hi[p])
+            fin = n1 == hi[p]
+            key[due] = np.where(fin, np.iinfo(np.int64).max, c[p] * (parr[n1 - fin] + d))
+            rows = [(ns[order[a:b]], tus[order[a:b]], pf[a:b]) if by_theta else (ns[order[a:b]],)]
+            for k, i in _windows(n0, n1 - n0):
+                n, q = ns[p[k]] * parr[i], p[k]
+                if not by_theta:  # keyed by n, a row is n alone
+                    rows.append((n,))
+                else:
+                    rows.append((n, 2 * tus[q], _theta_floors(kr, x, n, sgs[q] * (parr[i] + 1))))
+            n, *rest = map(np.concatenate, zip(*rows))
+            del rows  # the leaf windows, now joined
+            if not by_theta:
+                n.sort()  # members are distinct
+                yield stop, n
+            else:  # rows of one floor keep their order
+                k = (rest[1] - base).astype(np.uint64) << 32 | np.arange(n.size, dtype=np.uint64)
+                k.sort()
+                i = k & 0xFFFFFFFF
+                yield stop, n[i], rest[0][i], (k >> 32).astype(np.int64) + base
+            a, width = b, max(1, min(2 * width, 4096, width * budget // max(n.size, 1)))
+
+    return top, windows(pf[order], lo[s], c[s] * (parr[lo[s]] + d))
 
 
 def chain_stats_multi(rule, cutoffs):
@@ -221,7 +272,7 @@ def chain_stats_multi(rule, cutoffs):
 def b_rows(rule, x):
     """Arrays (n, tau, theta_floor) over B(x), ascending in n: the parent records, then the
     leaves n*p of their slices with tau 2*tau(n) and sigma(n)(p+1).  Refused past MEMBER_LIMIT."""
-    parr, blocks, _ = _records(rule, x)
+    parr, blocks = _records(rule, x)
     ns, sgs, tus, lo, hi = np.concatenate(blocks, axis=1)
     leaves = [(ns[k] * parr[i], 2 * tus[k], sgs[k] * (parr[i] + 1)) for k, i in _windows(lo, hi - lo)]
     ns, taus, sgs = map(np.concatenate, zip((ns, tus, sgs), *leaves))
@@ -303,9 +354,28 @@ def practical_stats(x):
     return _tally(*_walk(ThetaRule.practical(), x), [x])[0]
 
 
+def write_lines(fh, values):
+    """Write non-negative integers one decimal per line, _util.CHUNK at a time; returns their
+    count.  Each run of d-digit values fills a row of ceil(d/4) _QUADS entries per value, four
+    digits at a time from the right, and writes each row's last d digits and a newline."""
+    for i in range(0, len(values), _util.CHUNK):
+        chunk = values[i : i + _util.CHUNK]
+        digits = np.searchsorted(_POW10, chunk, "right") + 1
+        cuts = [0, *(np.flatnonzero(np.diff(digits)) + 1).tolist(), len(chunk)]
+        for s, e in zip(cuts, cuts[1:]):
+            d, q = int(digits[s]), chunk[s:e]
+            rows = np.empty((e - s, (d + 3) // 4 + 1), dtype=np.uint32)
+            for j in range(rows.shape[1] - 2, -1, -1):
+                rows[:, j], q = _QUADS[q % 10000], q // 10000
+            text = rows.view(np.uint8)[:, -4 - d : -3]
+            text[:, -1] = 10  # the newline
+            fh.write(text.tobytes().decode())
+    return len(values)
+
+
 def write_b_stream(rule, x, fh, threads=1):
-    """One decimal integer per line, ascending; returns the count (threads is ignored)."""
-    return _util.write_lines(fh, generate_B(rule, x))
+    """B(x) one decimal per line, ascending, by windows; returns the count (threads is ignored)."""
+    return sum(write_lines(fh, w[1]) for w in sorted_windows(rule, x, by_theta=False)[1])
 
 
 def verify_funceq(x, rule):

@@ -151,10 +151,10 @@ class TestMemberBudget:
 
     def test_failed_allocation_is_one_error_line(self, capsys, monkeypatch):
         # below the budget numpy can still fail to allocate, e.g. under ulimit -v
-        def no_memory(rule, x):
+        def no_memory(rule, x, by_theta):
             raise MemoryError("Unable to allocate 494. MiB for an array")
 
-        monkeypatch.setattr(theta, "generate_B", no_memory)
+        monkeypatch.setattr(theta, "sorted_windows", no_memory)
         code, out, err = run(self.CASES[0], capsys)
         assert code == 2
         assert out == ""

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from divmean.funcs import (
     _gauss_panels,
     _stencil,
     build_growth_fn,
+    build_ratio_fn,
     get_bundle,
     panel_rows,
 )
@@ -56,9 +58,19 @@ def _buchstab_residual(bundle, u):
     return u * bundle.buchstab(u) - 1.0 - bundle.buchstab_cum(u - 1.0)
 
 
+@cache
+def _ratio_cum():
+    """The cumulative xi table, which no FnBundle property exposes: build_ratio_fn()[1]."""
+    return build_ratio_fn()[1]
+
+
+def _table(bundle, name):
+    return _ratio_cum() if name == "ratio_cum" else getattr(bundle, name)
+
+
 def _ratio_residual(bundle, u):
     u = float(u)
-    return u * bundle.ratio(u) - 2.0 - 2.0 * bundle.ratio_cum(u - 1.0)
+    return u * bundle.ratio(u) - 2.0 - 2.0 * _ratio_cum()(u - 1.0)
 
 
 class TestBuchstab:
@@ -260,7 +272,7 @@ _HANDOVER = [
 
 @pytest.mark.parametrize("name,closed,switch", _HANDOVER, ids=[h[0] for h in _HANDOVER])
 def test_exact_pieces_hand_over_to_grid(name, closed, switch, bundle):
-    fn = getattr(bundle, name)
+    fn = _table(bundle, name)
     assert fn.grid[-1] == fn.grid_end
     us = np.array([1.0, 2.0, np.nextafter(3.0, 0.0), 3.0, fn.grid_end])
     for u, got in zip(us.tolist(), fn.eval_many(us).tolist()):
@@ -530,7 +542,7 @@ class TestBatchedMarch:
     def test_block_march_bit_identical_to_lazy_march(self, c0, blocks, fn, cum, bundle):
         vals, icum = _reference_march_delay(c0, blocks, OMEGA_STEP_BITS)
         _assert_same_bits(getattr(bundle, fn).grid_values, vals)
-        _assert_same_bits(getattr(bundle, cum).grid_values, icum)
+        _assert_same_bits(_table(bundle, cum).grid_values, icum)
 
 
 def _nodes(*ks):
@@ -628,7 +640,7 @@ class TestDemandMarch:
 @pytest.mark.parametrize("name", ["buchstab", "ratio", "growth", "buchstab_cum", "ratio_cum"])
 def test_nan_reads_nan(name, bundle):
     """NaN is not a point below the domain: it reads NaN, scalar and vector."""
-    fn = getattr(bundle, name)
+    fn = _table(bundle, name)
     assert math.isnan(fn(math.nan))
     got = fn.eval_many([math.nan, -1.0, 2.5, math.nan])
     assert np.isnan(got[[0, 3]]).all()

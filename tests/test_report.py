@@ -1,5 +1,6 @@
 """Comparison rows, series tails, fitting, and figure CSV emission."""
 
+import ast
 import math
 from fractions import Fraction
 
@@ -397,3 +398,17 @@ class TestRowPlumbing:
         ordered = R.sort_rows(rows)
         xs = [dict(r.params)["x"] for r in ordered]
         assert xs == sorted(xs)
+
+
+def test_report_reads_no_private_theta_name():
+    # the series read B(N) through theta's public window engine
+    tree = ast.parse(open(R.__file__).read())
+    private = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "theta"
+        and node.attr.startswith("_")
+    ]
+    assert private == []

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divmean import _util
 from divmean.errors import RangeError, ResourceError
 from divmean.sieve import DEFAULT_SPF_BUDGET, build_prime_list, build_spf_table
 from divmean.theta import (
@@ -32,8 +31,10 @@ from divmean.theta import (
     practical_stats,
     rough_members,
     rough_stats,
+    sorted_windows,
     verify_funceq,
     write_b_stream,
+    write_lines,
 )
 from oracles.checks import (
     factor_nr,
@@ -173,21 +174,25 @@ class TestGenerate:
         assert buf.getvalue() == "".join(f"{n}\n" for n in B_DENSE2_20)
 
     def test_write_lines_matches_joined_chunks(self, monkeypatch, rng):
-        # one %-format per chunk gives the bytes of a newline join per chunk;
-        # a short chunk makes the arrays cross chunk boundaries
+        # the digit-table rows of each run of one digit count give the bytes of a newline
+        # join per chunk; a short chunk makes the arrays cross chunk boundaries, and the
+        # edges of the digit counts, 0 and the int64 maximum cross runs and table entries
         monkeypatch.setattr("divmean._util.CHUNK", 7)
+        edges = [0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 10**8 - 1, 10**8, 10**18, 2**63 - 1]
         for values in (
             np.array([], dtype=np.int64),
             np.array([1], dtype=np.int64),
             np.arange(1, 8, dtype=np.int64),
             np.sort(rng.integers(1, 2**62, 100)),
+            np.array(edges, dtype=np.int64),
+            rng.integers(0, 2**63 - 1, 100),  # unsorted: many short runs
         ):
             joined = "".join(
                 "\n".join(map(str, values[i : i + 7].tolist())) + "\n"
                 for i in range(0, len(values), 7)
             )
             buf = io.StringIO()
-            assert _util.write_lines(buf, values) == len(values)
+            assert write_lines(buf, values) == len(values)
             assert buf.getvalue() == joined
 
 
@@ -734,6 +739,79 @@ class TestBlockWalk:
             m = members[name][: x + 1]
             want.append((int(m.sum()), int(tau_[: x + 1][m].sum())))
         assert [(st_.count, st_.tau_sum) for st_ in chain_stats_multi(rule, cuts)] == want
+
+
+class TestSortedWindows:
+    """B(x) read through sorted_windows with a budget of 7 rows and sub-blocks of 8 numbers,
+    so that window ends (multiples of 8) fall on members, against b_rows' sorted rows."""
+
+    X = 10**5
+    RULES = {
+        "practical": (ThetaRule.practical(), ["practical"]),
+        "dense-2": (ThetaRule.dense(2), ["dense", "--t", "2"]),
+        "dense-5/2": (ThetaRule.dense(Fraction(5, 2)), ["dense", "--t", "5/2"]),
+        "dense-100": (ThetaRule.dense(100), ["dense", "--t", "100"]),
+    }
+
+    @staticmethod
+    def _tiny(monkeypatch, span=8):
+        from divmean import _util, sieve
+
+        monkeypatch.setattr(_util, "CHUNK", 7)
+        monkeypatch.setattr(sieve, "_BLOCK", 2 * span)  # four sub-blocks of span numbers
+        monkeypatch.setattr(sieve, "_SUB", span // 2)
+        assert sieve._span() == span
+
+    @pytest.mark.parametrize("name", RULES)
+    def test_enumerate_out_is_the_sorted_rows(self, name, monkeypatch, tmp_path):
+        from divmean.cli import main
+
+        rule, argv = self.RULES[name]
+        want = "".join(f"{n}\n" for n in np.sort(b_rows(rule, self.X)[0]).tolist())
+        self._tiny(monkeypatch)
+        out = tmp_path / "members.txt"
+        assert main(["enumerate", *argv, "--x", str(self.X), "--out", str(out)]) == 0
+        assert out.read_text() == want
+
+    @pytest.mark.parametrize("by_theta", [False, True], ids=["by-n", "by-floor"])
+    @pytest.mark.parametrize("name", RULES)
+    def test_windows_partition_the_rows(self, name, by_theta, monkeypatch):
+        rule, _ = self.RULES[name]
+        ns, taus, tf = b_rows(rule, self.X)
+        key = tf if by_theta else ns
+        self._tiny(monkeypatch)
+        top, windows = sorted_windows(rule, self.X, by_theta)
+        assert top == key.max()
+        got, last, ends = [], 0, []
+        for stop, n, *rest in windows:
+            k = rest[1] if by_theta else n
+            assert stop % 8 == 0 and np.all(np.diff(k) >= 0)
+            assert k.size == 0 or (last <= k[0] and k[-1] < stop)
+            got.append(np.stack((n, *rest)))
+            last = stop
+            ends.append(stop)
+        assert len(ends) > 20 and last > top
+        rows = np.concatenate(got, axis=1)
+        want = np.stack((ns, taus, tf) if by_theta else (ns,))
+        assert sorted(map(tuple, rows.T.tolist())) == sorted(map(tuple, want.T.tolist()))
+        # a window that ends on a key leaves that key to the next one
+        assert set(ends) & set(key.tolist())
+
+    @pytest.mark.parametrize("name", RULES)
+    def test_series_keep_their_bits(self, name, monkeypatch):
+        from divmean import report
+
+        rule, _ = self.RULES[name]
+        cuts = [10, 1000, self.X]
+        want = report.L_partial_multi(rule, cuts), report.c_theta_breakdown(rule, self.X)
+        self._tiny(monkeypatch, span=2048)  # the prime walk to 1e7 (dense-100): ~5,000 sub-blocks
+        assert (report.L_partial_multi(rule, cuts), report.c_theta_breakdown(rule, self.X)) == want
+
+    def test_refused_before_any_window(self, monkeypatch):
+        # the counted walk and its refusal run when sorted_windows is called, not when read
+        monkeypatch.setattr("divmean.theta.MEMBER_LIMIT", 10)
+        with pytest.raises(ResourceError, match="^12 chain members exceed budget 10$"):
+            sorted_windows(ThetaRule.practical(), 30, False)
 
 
 @pytest.fixture(scope="module")

@@ -61,9 +61,9 @@ def test_cli_import_registers_every_traced_module():
 
 
 # (divmean arguments, {span: the work counts it must record}) of cheap runs
-# that pass through every COUNTS reader but those of build_spf_table and
-# b_rows, which no command reaches: the series checks take their rows from
-# the walk's parent records, so `verify L` records only the walk's prime list
+# that pass through every COUNTS reader but those of build_spf_table, b_rows
+# and generate_B, which no command reaches: `enumerate` and the series checks
+# read B(x) through theta.sorted_windows, so they record only the walk's prime list
 _TRACE_RUNS = [
     (["stats", "practical", "--x", "1000"], {
         "theta.practical_stats": {"members"},
@@ -74,7 +74,6 @@ _TRACE_RUNS = [
         "sieve.build_prime_list": {"limit", "bytes"},
     }),
     (["enumerate", "practical", "--x", "1000", "--out", "members.txt"], {
-        "theta.generate_B": {"members"},
         "sieve.build_prime_list": {"limit", "bytes"},
     }),
     (["verify", "L", "--n", "1000"], {
